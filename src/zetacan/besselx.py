@@ -12,13 +12,14 @@ G_n(z) = I_{n+1} I_{n-m} + I_n I_{n-m-1} satisfies G_n = G_{m-n}).  Zeros
 are simple, avoid the zeros of both J factors, and interlace the merged
 zero set of J_n and J_{n-m}: between consecutive cross-product zeros lies
 exactly one merged Bessel zero.  That interlacing supplies the root
-brackets used here; each bracket is polished with Brent's method and every
-gap is additionally fine-scanned so a missed sign change cannot silently
-drop a zero.
+brackets used here: every gap is fine-scanned, so a missed sign change
+cannot silently drop a zero, and all brackets of a sequence are polished
+together by a lockstep Newton solve on the analytic derivative of L_n.
 
-Bessel zeros themselves are generated internally (McMahon guesses for
-order zero, then order-to-order interlacing brackets), so the module has
-no dependency on tabulated zeros.
+Bessel zeros themselves are generated internally, all orders of a table at
+once: sign changes of one kernel pass over a unit grid bracket them, one
+lockstep solve polishes them and the interlacing of neighbouring orders
+certifies them, so the module has no dependency on tabulated zeros.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .numerics import BracketError, brent_root
-from .special import bessel_j_many
+from .numerics import BracketError, newton_brackets
+from .special import bessel_j, bessel_j_many, bessel_j_orders
 
 __all__ = [
     "CrossProductSpec",
@@ -119,102 +120,118 @@ class Spectrum:
 # Bessel zero tables (internal, cached)
 # ----------------------------------------------------------------------
 
-_J_ZEROS: dict = {}
-_JP_ZEROS: dict = {}
+_ZERO_TABLES: dict = {}  # "j" / "jp" -> (orders, count) array of zeros
 
 
-def _j(order: int, x: float) -> float:
-    return bessel_j_many((order,), x)[order]
+def _j_pair(kind: str, n: np.ndarray, x: np.ndarray):
+    """f and f' for f = J_n (kind "j") or f = J_n' (kind "jp"), order n per point.
+
+    J_n' = (J_{n-1} - J_{n+1}) / 2 and J_n'' = -J_n'/x - (1 - n^2/x^2) J_n
+    (Bessel's equation); each point's kernel pass stops at its own order n + 1.
+    """
+    j = bessel_j_orders(n + 1, x)
+    i = np.arange(x.size)
+    jn = j[n, i]
+    d = 0.5 * (np.where(n > 0, 1.0, -1.0) * j[np.abs(n - 1), i] - j[n + 1, i])
+    if kind == "j":
+        return jn, d
+    return d, -d / x - (1.0 - (n / x) ** 2) * jn
 
 
-def _jp(order: int, x: float) -> float:
-    # J_n'(x) = J_{n-1}(x) - (n/x) J_n(x)
-    vals = bessel_j_many((order - 1, order), x)
-    return vals[order - 1] - (order / x) * vals[order]
+def _interlaced(lower: np.ndarray, upper: np.ndarray) -> bool:
+    """lower_k < upper_k < lower_{k+1} for every k (rows compared elementwise)."""
+    return bool(np.all(lower < upper) and np.all(upper[..., :-1] < lower[..., 1:]))
 
 
-def _mcmahon_j0(k: int) -> float:
-    beta = (k - 0.25) * math.pi
-    r = 1.0 / (8.0 * beta)
-    return beta + r * (1.0 + r * r * (-124.0 / 3.0 + r * r * 120928.0 / 15.0))
+def _build_zero_table(kind: str, n_top: int, count: int) -> np.ndarray:
+    """First ``count`` zeros of J_n (kind "j") or J_n' ("jp"), n = 0..n_top.
+
+    Consecutive zeros of J_n and of J_n' lie more than 3 apart (DLMF
+    10.21(vii)), so on a grid of spacing 1 every cell holds at most one zero
+    and the k-th sign change of a row brackets its k-th zero.  All brackets
+    are polished in one lockstep Newton solve, and the table is certified
+    by interlacing across orders: j_{n-1,k} < j_{n,k} < j_{n-1,k+1}, and for
+    the derivative zeros (J_0' = -J_1) j'_{1,k} < j'_{0,k} < j'_{1,k+1}.
+    """
+    x_max = math.pi * (count + 0.5 * n_top + 1.0)
+    while True:
+        grid = np.arange(1.0, math.ceil(x_max) + 1.0)
+        j = bessel_j_orders(n_top + 1, grid)
+        if kind == "j":
+            vals = j[:-1]
+        else:
+            vals = 0.5 * (np.concatenate([-j[1:2], j[:-2]]) - j[1:])
+        nonneg = vals >= 0.0  # J_n underflows to +0 near the origin
+        change = nonneg[:, :-1] != nonneg[:, 1:]
+        if np.all(change.sum(axis=1) >= count):
+            break
+        x_max *= 1.5
+    rows, cols = np.nonzero(change & (np.cumsum(change, axis=1) <= count))
+    lam = newton_brackets(lambda x, idx: _j_pair(kind, rows[idx], x),
+                          grid[cols], grid[cols + 1], ~nonneg[rows, cols], tol=1e-13)
+    table = lam.reshape(n_top + 1, count)
+    ok = (_interlaced(table[:-1], table[1:]) if kind == "j" else
+          _interlaced(table[1:-1], table[2:]) and _interlaced(table[1], table[0]))
+    if not ok:
+        name = "J_n" if kind == "j" else "J_n'"
+        raise BracketError(f"zeros of {name}, n <= {n_top}, fail the interlacing check")
+    return table
 
 
-def _extend_j_zeros(order: int, count: int) -> np.ndarray:
-    have = _J_ZEROS.get(order)
-    if have is not None and len(have) >= count:
-        return have
-    if order == 0:
-        out = []
-        for k in range(1, count + 1):
-            g = _mcmahon_j0(k)
-            lo, hi = g - 0.4, g + 0.4
-            out.append(brent_root(lambda x: _j(0, x), lo, hi, tol=1e-13))
-        arr = np.asarray(out)
-    else:
-        lower = _extend_j_zeros(order - 1, count + 1)
-        out = []
-        for k in range(count):
-            out.append(brent_root(lambda x: _j(order, x),
-                                  lower[k] * (1 + 1e-14), lower[k + 1] * (1 - 1e-14),
-                                  tol=1e-13))
-        arr = np.asarray(out)
-    _J_ZEROS[order] = arr
-    return arr
+def _zero_table(kind: str, order: int, count: int) -> np.ndarray:
+    """Zeros 1..count of J_|order| or J_|order|', from the cached table.
+
+    A request beyond the table rebuilds it once, to the largest order and
+    count asked for so far, with 8 orders of headroom because callers
+    usually walk the orders upward.  Every zero depends only on its own
+    bracket, so the values do not depend on the order of the requests.
+    """
+    order = abs(order)
+    table = _ZERO_TABLES.get(kind, np.empty((0, 0)))
+    rows, have = table.shape
+    if order >= rows or count > have:
+        n_top = rows - 1 if order < rows else max(order, rows + 7)
+        table = _build_zero_table(kind, n_top, max(count, have))
+        _ZERO_TABLES[kind] = table
+    return table[order, :count].copy()
 
 
 def bessel_j_zeros(order: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_order, order >= 0.
-
-    Order zero starts from McMahon guesses; higher orders are bracketed by
-    the interlacing property j_{n-1,k} < j_{n,k} < j_{n-1,k+1}.
-    """
-    if order < 0:
-        order = -order  # J_{-n} = (-1)^n J_n, same zero set
-    return _extend_j_zeros(order, count)[:count].copy()
+    """First ``count`` positive zeros of J_order (J_{-n} has the same zeros)."""
+    return _zero_table("j", order, count)
 
 
 def bessel_jp_zeros(order: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_order'.
-
-    J_0' = -J_1, so those are the J_1 zeros; for order >= 1 the first zero
-    lies in (order, j_{order,1}) and the rest follow by Rolle between
-    consecutive zeros of J_order.
-    """
-    if order < 0:
-        order = -order
-    if order == 0:
-        return bessel_j_zeros(1, count)
-    have = _JP_ZEROS.get(order)
-    if have is not None and len(have) >= count:
-        return have[:count].copy()
-    jz = bessel_j_zeros(order, count)
-    out = [brent_root(lambda x: _jp(order, x), order * (1 + 1e-12), jz[0] * (1 - 1e-14),
-                      tol=1e-13)]
-    for k in range(count - 1):
-        out.append(brent_root(lambda x: _jp(order, x),
-                              jz[k] * (1 + 1e-14), jz[k + 1] * (1 - 1e-14), tol=1e-13))
-    arr = np.asarray(out)
-    _JP_ZEROS[order] = arr
-    return arr[:count].copy()
+    """First ``count`` positive zeros of J_order' (for order 0, the J_1 zeros)."""
+    return _zero_table("jp", order, count)
 
 
 # ----------------------------------------------------------------------
 # Cross products
 # ----------------------------------------------------------------------
 
-def cross_L(n: int, m: int, x: float) -> float:
-    """L_n(x) = -J_n J_{n-m-1} + J_{n+1} J_{n-m} at x."""
-    orders = (n, n - m - 1, n + 1, n - m)
-    v = bessel_j_many(orders, x)
-    return -v[n] * v[n - m - 1] + v[n + 1] * v[n - m]
+def _j_and_prime(orders, x) -> dict:
+    """{n: (J_n(x), J_n'(x))} from one kernel pass, J_n' = (J_{n-1} - J_{n+1})/2."""
+    v = bessel_j_many({n + s for n in orders for s in (-1, 0, 1)}, x)
+    return {n: (v[n], 0.5 * (v[n - 1] - v[n + 1])) for n in orders}
 
 
-def cross_L_prime(n: int, m: int, x: float, h: float = None) -> float:
-    """dL_n/dx by a five-point central difference."""
-    if h is None:
-        h = 3e-4 * max(1.0, abs(x))
-    f = [cross_L(n, m, x + i * h) for i in (-2, -1, 1, 2)]
-    return (f[0] - 8.0 * f[1] + 8.0 * f[2] - f[3]) / (12.0 * h)
+def _cross_L_pair(n: int, m: int, x):
+    """(L_n, dL_n/dx) at x (scalar or array) from one kernel pass."""
+    j = _j_and_prime((n, n - m - 1, n + 1, n - m), x)
+    (a, da), (b, db) = j[n], j[n - m - 1]
+    (c, dc), (d, dd) = j[n + 1], j[n - m]
+    return -a * b + c * d, -da * b - a * db + dc * d + c * dd
+
+
+def cross_L(n: int, m: int, x):
+    """L_n(x) = -J_n J_{n-m-1} + J_{n+1} J_{n-m} at x (scalar or array)."""
+    return _cross_L_pair(n, m, x)[0]
+
+
+def cross_L_prime(n: int, m: int, x):
+    """dL_n/dx at x (scalar or array), from the analytic J derivatives."""
+    return _cross_L_pair(n, m, x)[1]
 
 
 def cross_G_log(n: int, m: int, x: float):
@@ -302,19 +319,19 @@ def _merged_factor_zeros(nu: int, m: int, count: int) -> np.ndarray:
     return np.sort(np.concatenate([za, zb]))
 
 
-def _scan_brackets(f, lo: float, hi: float, probes: int):
-    xs = np.linspace(lo, hi, probes)
-    vals = [f(float(x)) for x in xs]
-    out = []
-    for i in range(len(xs) - 1):
-        if vals[i] == 0.0:
-            # probe landed on a zero, or L underflowed near the origin;
-            # accept only a genuine crossing certified by the neighbors
-            if 0 < i and vals[i - 1] * vals[i + 1] < 0.0:
-                out.append((xs[i], xs[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            out.append((xs[i], xs[i + 1]))
-    return out
+def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
+    """(row, lo, hi, f(lo) < 0) of every sign change along the probe rows.
+
+    A probe that lands on a zero (or where L underflowed near the origin)
+    counts only when its two neighbours have opposite signs, as lo == hi.
+    """
+    a, b = vals[:, :-1], vals[:, 1:]
+    on_zero = np.zeros(a.shape, dtype=bool)
+    on_zero[:, 1:] = (a[:, 1:] == 0.0) & (vals[:, :-2] * vals[:, 2:] < 0.0)
+    rows, cols = np.nonzero(on_zero | ((a != 0.0) & (a * b < 0.0)))
+    lo = xs[rows, cols]
+    hi = np.where(on_zero[rows, cols], lo, xs[rows, cols + 1])
+    return rows, lo, hi, a[rows, cols] < 0.0
 
 
 def zeros(spec: CrossProductSpec, K: int, tol: float = 1e-12) -> SpectralSequence:
@@ -323,9 +340,11 @@ def zeros(spec: CrossProductSpec, K: int, tol: float = 1e-12) -> SpectralSequenc
     The factorized cases (m = 0, where L_n = -2 J_n J_n', and the middle
     order n = m/2 for even m, where L reduces to +-2 J_{m/2} J_{m/2+1})
     read their zeros off the Bessel zero tables directly.  Otherwise the
-    merged zeros of the two J factors bracket the roots; every gap is
-    scanned for sign changes so the count is certified, and the first gap
-    below the smallest factor zero is scanned as well.
+    merged zeros of the two J factors bracket the roots: 33 probes scan the
+    gap below the smallest factor zero and 13 scan each following gap, all
+    in one kernel pass, and an empty gap raises BracketError, so the count
+    is certified.  All brackets are then polished in one lockstep Newton
+    solve on the analytic L_n'.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
@@ -341,35 +360,36 @@ def zeros(spec: CrossProductSpec, K: int, tol: float = 1e-12) -> SpectralSequenc
         jb = bessel_j_zeros(m // 2 + 1, K)
         lam = np.sort(np.concatenate([ja, jb]))[:K]
     else:
-        f = lambda x: cross_L(nu, m, x)
         grid = _merged_factor_zeros(nu, m, K + 2)
-        found = []
-        for lo, hi in _scan_brackets(f, 0.05 * grid[0], grid[0] * (1 - 1e-12), 33):
-            found.append(brent_root(f, lo, hi, tol=tol) if lo < hi else lo)
-        i = 0
-        while len(found) < K and i + 1 < len(grid):
-            lo, hi = grid[i] * (1 + 1e-13), grid[i + 1] * (1 - 1e-13)
-            brackets = _scan_brackets(f, lo, hi, 13)
-            if not brackets:
-                raise BracketError(
-                    f"no sign change of L_{nu} (m={m}) in factor-zero gap "
-                    f"({grid[i]:.6f}, {grid[i+1]:.6f})")
-            for blo, bhi in brackets:
-                found.append(brent_root(f, blo, bhi, tol=tol) if blo < bhi else blo)
-            i += 1
-        if len(found) < K:
-            raise BracketError("factor zero tables too short for requested K")
-        lam = np.asarray(sorted(found)[:K])
+        first = np.linspace(0.05 * grid[0], grid[0] * (1 - 1e-12), 33)
+        gaps = np.linspace(grid[:K] * (1 + 1e-13), grid[1:K + 1] * (1 - 1e-13), 13,
+                           axis=1)
+        vals = cross_L(nu, m, np.concatenate([first, gaps.ravel()]))
+        _, *below = _sign_brackets(first[None, :], vals[None, :33])
+        rows, *inside = _sign_brackets(gaps, vals[33:].reshape(K, 13))
+        # gaps are taken in order until K zeros are bracketed
+        per_gap = np.bincount(rows, minlength=K)
+        scanned = len(below[0]) + np.cumsum(per_gap) - per_gap < K
+        empty = np.flatnonzero(scanned & (per_gap == 0))
+        if empty.size:
+            i = empty[0]
+            raise BracketError(
+                f"no sign change of L_{nu} (m={m}) in factor-zero gap "
+                f"({grid[i]:.6f}, {grid[i+1]:.6f})")
+        keep = scanned[rows]
+        lo, hi, rising = (np.concatenate([u, v[keep]]) for u, v in zip(below, inside))
+        lam = lo.copy()  # a probe that landed on a zero is that zero
+        solve = lo < hi
+        lam[solve] = newton_brackets(lambda x, _: _cross_L_pair(nu, m, x), lo[solve],
+                                     hi[solve], rising[solve], tol=tol)
+        lam = np.sort(lam)[:K]
 
-    f = lambda x: cross_L(nu, m, x)
-    res = np.array([abs(f(float(x))) for x in lam])
-    mids = np.empty(len(lam))
     ext = np.concatenate([[lam[0] * 0.5], lam, [lam[-1] + (lam[-1] - lam[-2] if len(lam) > 1 else 1.0)]])
-    for i in range(len(lam)):
-        mids[i] = max(abs(f(float(0.5 * (ext[i] + ext[i + 1])))),
-                      abs(f(float(0.5 * (ext[i + 1] + ext[i + 2])))))
-    return SpectralSequence(spec=cspec, zeros=lam, residuals=res,
-                            local_scales=mids, certified_count=len(lam))
+    at = np.abs(cross_L(nu, m, np.concatenate([lam, 0.5 * (ext[:-1] + ext[1:])])))
+    mid = at[len(lam):]
+    return SpectralSequence(spec=cspec, zeros=lam, residuals=at[:len(lam)],
+                            local_scales=np.maximum(mid[:-1], mid[1:]),
+                            certified_count=len(lam))
 
 
 # ----------------------------------------------------------------------
@@ -451,14 +471,15 @@ def canonical_orders(m: int, count: int):
     return out[:count]
 
 
-def spectrum(m: int, n_orders: int, K: int) -> Spectrum:
+def spectrum(m: int, n_orders: int, K: int, tol: float = 1e-12) -> Spectrum:
     """Eigenvalues lambda^2/4 from the first ``n_orders`` canonical orders,
-    K zeros each, sorted ascending with multiplicities."""
+    K zeros each (root tolerance ``tol``), sorted ascending with
+    multiplicities; the sort is stable, so ties keep order-then-k order."""
     if m < 0 or n_orders < 1 or K < 1:
         raise ValueError("require m >= 0 and n_orders, K >= 1")
     entries = []
     for nu, mult in canonical_orders(m, n_orders):
-        seq = zeros(CrossProductSpec(nu, m), K)
+        seq = zeros(CrossProductSpec(nu, m), K, tol=tol)
         for k, lam in enumerate(seq.zeros, start=1):
             entries.append(SpectrumEntry(
                 eigenvalue=float(lam) ** 2 / 4.0, multiplicity=mult,
@@ -502,8 +523,8 @@ def eigenfunction_radial(nu: int, m: int, lam: float, r: float) -> float:
     closed two-term expression used in eigen_norm_check.
     """
     if r <= 1.0:
-        return _j(nu, lam * r)
-    return _j(nu, lam) / _j(nu - m, lam) * r ** m * _j(nu - m, lam / r)
+        return bessel_j(nu, lam * r)
+    return bessel_j(nu, lam) / bessel_j(nu - m, lam) * r ** m * bessel_j(nu - m, lam / r)
 
 
 def eigen_norm_check(nu: int, m: int, lam: float):
@@ -518,13 +539,11 @@ def eigen_norm_check(nu: int, m: int, lam: float):
     zero of L_nu they agree.
     """
     lhs = cross_L_prime(nu, m, lam)
-    ja = _j(nu, lam)
-    jb = _j(nu - m, lam)
+    j = _j_and_prime((nu, nu - m), lam)
+    (ja, jap), (jb, jbp) = j[nu], j[nu - m]
     if ja == 0.0 or jb == 0.0:
         raise ValueError("cross-product zeros avoid the factor zeros; "
                          "got a vanishing Bessel factor")
-    jap = _jp(nu, lam)
-    jbp = _jp(nu - m, lam)
     norm = (0.5 * (jap ** 2 + (1.0 - nu ** 2 / lam ** 2) * ja ** 2)
             + ja ** 2 / (2.0 * jb ** 2)
             * (jbp ** 2 + (1.0 - (nu - m) ** 2 / lam ** 2) * jb ** 2))

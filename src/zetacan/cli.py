@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import os
 import sys
 
 from . import besselx, torsion, verify, zetareg
@@ -65,45 +64,20 @@ def _emit(text: str, path):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("ZETACAN_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    orders = besselx.canonical_orders(args.m, args.n_max)
-    workers = _threads()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            seqs = list(pool.map(
-                lambda nm: besselx.zeros(besselx.CrossProductSpec(nm[0], args.m),
-                                         args.k_max, tol=args.root_tol), orders))
-    else:
-        seqs = [besselx.zeros(besselx.CrossProductSpec(nu, args.m),
-                              args.k_max, tol=args.root_tol)
-                for nu, _ in orders]
-    entries = []
-    for (nu, mult), seq in zip(orders, seqs):
-        for k, lam in enumerate(seq.zeros, start=1):
-            entries.append((float(lam) ** 2 / 4.0, args.m, nu, k, float(lam),
-                            mult, float(seq.residuals[k - 1])))
-    entries.sort(key=lambda e: e[0])
+    spectrum = besselx.spectrum(args.m, args.n_max, args.k_max, tol=args.root_tol)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["eigenvalue", "m", "n", "k", "lambda", "multiplicity",
                     "residual"])
-        for ev, m, nu, k, lam, mult, res in entries:
-            w.writerow([format(ev, ".17g"), m, nu, k, format(lam, ".17g"),
-                        mult, format(res, ".3e")])
+        for e in spectrum.entries:
+            w.writerow([format(e.eigenvalue, ".17g"), args.m, e.order, e.k,
+                        format(e.lam, ".17g"), e.multiplicity, format(e.residual, ".3e")])
         _emit(buf.getvalue(), args.out)
     else:
         doc = {
@@ -114,9 +88,9 @@ def cmd_spectrum(args) -> int:
             "k_max": args.k_max,
             "zero_mode_multiplicity": args.m + 1,
             "entries": [
-                {"eigenvalue": ev, "n": nu, "k": k, "lambda": lam,
-                 "multiplicity": mult, "residual": res}
-                for ev, _m, nu, k, lam, mult, res in entries
+                {"eigenvalue": e.eigenvalue, "n": e.order, "k": e.k, "lambda": e.lam,
+                 "multiplicity": e.multiplicity, "residual": e.residual}
+                for e in spectrum.entries
             ],
         }
         _emit(dumps(doc), args.out)

@@ -1,8 +1,11 @@
 r"""Generic numerical engines.
 
-Bracketed root finding and adaptive quadrature are thin wrappers over
-scipy (Brent's method, QUADPACK) behind this package's error contract.
-The module's own machinery is what the zeta pipeline actually leans on:
+The zero tables and cross-product zeros are polished by
+``newton_brackets``: safeguarded Newton steps on f and f' from the Bessel
+kernel, clamped to each bracket with a bisection fallback, for all brackets
+in lockstep.  ``brent_root`` and ``adaptive_quad`` are thin wrappers over
+scipy (Brent's method, QUADPACK) behind this package's error contract;
+scipy is imported only when they run.  The rest is the package's own:
 
 * least-squares extraction of the large-argument profile
   ``d z + a log z^2 + b + c1/z + ...`` of a log-product along a real ray,
@@ -28,8 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .special import hurwitz_zeta
 
@@ -38,6 +39,7 @@ __all__ = [
     "QuadratureError",
     "FitError",
     "brent_root",
+    "newton_brackets",
     "adaptive_quad",
     "euler_maclaurin_tail",
     "AsymptoticProfile",
@@ -77,7 +79,45 @@ def brent_root(f, lo: float, hi: float, tol: float = 1e-12) -> float:
         return hi
     if flo * fhi > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]")
+    from scipy.optimize import brentq
+
     return brentq(f, lo, hi, xtol=tol, rtol=8.9e-16)
+
+
+def newton_brackets(fdf, lo, hi, rising, tol: float = 0.0) -> np.ndarray:
+    """Roots of f in the brackets [lo, hi] (1-d arrays), all solved in lockstep.
+
+    ``fdf(x, idx)`` returns f and f' at the points x of the brackets idx;
+    ``rising`` marks brackets where f < 0 on the lo side.  Each step is a
+    Newton step from the current point, replaced by bisection when it
+    leaves the bracket, and the bracket shrinks to the side that keeps the
+    sign change.  A bracket is done once its step is at most
+    tol + 4 eps |x| (the point after that step is returned) or f is
+    exactly 0; each root depends only on its own bracket.  Brackets still
+    open after 100 steps raise BracketError.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    x = 0.5 * (lo + hi)
+    active = np.arange(x.size)
+    for _ in range(100):
+        if active.size == 0:
+            break
+        xa = x[active]
+        f, df = fdf(xa, active)
+        right = (f < 0.0) == rising[active]
+        la = np.where(right, xa, lo[active])
+        ha = np.where(right, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xa - f / df
+        xn = np.where((xn >= la) & (xn <= ha), xn, 0.5 * (la + ha))
+        xn = np.where(f == 0.0, xa, xn)
+        done = np.abs(xn - xa) <= tol + 4.0 * np.finfo(float).eps * np.abs(xa)
+        x[active], lo[active], hi[active] = xn, la, ha
+        active = active[~done]
+    if active.size:
+        raise BracketError(f"{active.size} brackets not converged in 100 steps")
+    return x
 
 
 def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
@@ -88,6 +128,8 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
     transformation.  Raises QuadratureError when the reported error
     estimate is far above the requested tolerance.
     """
+    from scipy.integrate import quad
+
     kwargs = dict(epsabs=tol, epsrel=max(tol, 1e-13), limit=limit)
     if points is not None and not math.isinf(b):
         kwargs["points"] = points

@@ -2,19 +2,18 @@ r"""Special-function kernel: gamma family, Riemann/Hurwitz zeta and their
 s-derivatives, and Bessel J/I evaluation across series, large-argument and
 uniform large-order regimes.
 
-Everything here is a pure function of its arguments.  Bessel functions of
-integer order are evaluated by three mutually overlapping schemes:
+Everything here is a pure function of its arguments.  Bessel J of integer
+order comes from one array-first kernel, ``bessel_j_orders``: a downward
+(Miller) recurrence that yields all orders 0..n at every point of a real or
+complex array in one pass, normalized by the Neumann series (against
+``cos z`` when the imaginary part is large, where the plain Neumann sum
+would be ill-conditioned).  ``bessel_j``, ``bessel_j_many``,
+``bessel_j_prime`` and ``bessel_j_complex_many`` are thin views of it.
 
-* power series (compensated summation; the only scheme with no validity
-  ceiling, used as the in-house reference on overlap bands),
-* downward (Miller) recurrence with Neumann-series normalization, also for
-  complex arguments (normalized against ``cos z`` when the imaginary part
-  is large, where the plain Neumann sum would be ill-conditioned),
-* large-argument asymptotics and Debye-type uniform large-order
-  asymptotics (https://dlmf.nist.gov/10.40 and https://dlmf.nist.gov/10.41).
-
-Modified Bessel functions are returned log-scaled so that cross products at
-large order/argument never overflow.
+Modified Bessel functions (power series, large-argument asymptotics and
+Debye-type uniform large-order asymptotics, https://dlmf.nist.gov/10.40 and
+https://dlmf.nist.gov/10.41) are returned log-scaled so that cross products
+at large order/argument never overflow.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ __all__ = [
     "riemann_zeta",
     "riemann_zeta_prime",
     "log_glaisher",
+    "bessel_j_orders",
     "bessel_j",
     "bessel_j_many",
     "bessel_j_prime",
@@ -281,146 +281,65 @@ def classify_bessel_regime(n: int, x: float,
     return BesselRegime.LARGE_ARGUMENT
 
 
-def _series_j(n: int, x: float) -> float:
-    # n >= 0, x >= 0; alternating series, compensated summation.
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    lt0 = n * math.log(0.5 * x) - math.lgamma(n + 1.0)
-    t = math.exp(lt0)
-    q = 0.25 * x * x
-    acc = t
-    comp = 0.0
-    r = 0
-    while True:
-        r += 1
-        t *= -q / (r * (n + r))
-        y = t - comp
-        s = acc + y
-        comp = (s - acc) - y
-        acc = s
-        if abs(t) < 1e-18 * (abs(acc) + 1e-300) and r > 3:
-            break
-        if r > 4000:  # pragma: no cover - series always terminates well before
-            raise SpecialFunctionError("J series did not converge")
-    return acc
+def _miller_start(n_max, xa):
+    # xa = max(|x|, 1); one index past which J is negligible for orders <= n_max
+    return np.maximum(n_max, xa) + 12.0 * xa ** (1.0 / 3.0) + 22
 
 
-def _miller_start_index(n_max: int, x: float) -> int:
-    xa = max(x, 1.0)
-    return int(max(n_max, xa) + 12.0 * xa ** (1.0 / 3.0) + 22)
+def bessel_j_orders(n_max, x) -> np.ndarray:
+    """J_0 .. J_n_max at every point of ``x``, shape ``(n_max + 1, *x.shape)``.
 
-
-def _miller_j_many(orders: tuple, x: float) -> dict:
-    """J_n(x) for every n in ``orders`` (n >= 0) from one downward recurrence.
-
-    Normalized with the Neumann sum J_0 + 2 sum_k J_{2k} = 1.  Stable for
-    0 < x up to ~3e4; cost is O(x + max order).
+    One downward (Miller) recurrence serves all orders and all points, real
+    or complex; running sums are rescaled by 1e-280 whenever a value passes
+    1e280.  Normalization is the Neumann sum J_0 + 2 sum J_2k = 1, or, for
+    complex points with |Im z| > 1 where that sum cancels exponentially,
+    cos z = J_0 + 2 sum (-1)^k J_2k.  Complex points all start the
+    recurrence at the index set by the largest |z|.  Real points each start
+    at their own index, and ``n_max`` may then be an integer array giving
+    each point's highest order (rows above it are not accurate there), so a
+    real value never depends on the other points of the call.
     """
-    n_max = max(orders)
-    m = _miller_start_index(n_max, x)
-    fp = 0.0   # f_{k+1}
-    f = 1e-30  # f_k
-    neumann = 0.0
-    wanted = {}
-    two_over_x = 2.0 / x
-    for k in range(m, -1, -1):
-        fm = (k + 1) * two_over_x * f - fp
-        fp = f
-        f = fm
-        # f now holds the unnormalized J_k
-        if k in orders:
-            wanted[k] = f
-        if k % 2 == 0:
-            neumann += f if k == 0 else 2.0 * f
-        if abs(f) > 1e280:
-            f *= 1e-280
-            fp *= 1e-280
-            neumann *= 1e-280
-            for key in wanted:
-                wanted[key] *= 1e-280
-    return {k: v / neumann for k, v in wanted.items()}
-
-
-def bessel_j_many(orders, x: float) -> dict:
-    """J_n(x) for a collection of integer orders, sharing one recurrence pass.
-
-    Negative orders and arguments are reduced by J_{-n} = (-1)^n J_n and
-    J_n(-x) = (-1)^n J_n(x).
-    """
-    xs = -x if x < 0.0 else x
-    abs_orders = tuple(sorted({abs(int(n)) for n in orders}))
-    out_abs = {}
-    series_ok = [n for n in abs_orders if xs <= 9.0 or xs * xs <= 4.0 * (n + 1.0)]
-    if len(series_ok) == len(abs_orders):
-        for n in abs_orders:
-            out_abs[n] = _series_j(n, xs)
+    x = np.asarray(x)
+    cplx = np.iscomplexobj(x)
+    x = x.astype(np.complex128 if cplx else np.float64)
+    top = int(np.max(n_max))
+    out = np.empty((top + 1,) + x.shape, dtype=x.dtype)
+    if x.size == 0:
+        return out
+    zero = x == 0.0
+    if zero.any():
+        x = np.where(zero, 1.0, x)
+    if cplx:
+        start = np.full(x.shape, int(_miller_start(top, max(float(np.max(np.abs(x))), 1.0))))
     else:
-        out_abs = _miller_j_many(abs_orders, xs)
-    result = {}
-    for n in orders:
-        n = int(n)
-        v = out_abs[abs(n)]
-        if n < 0 and (abs(n) % 2):
-            v = -v
-        if x < 0.0 and (abs(n) % 2):
-            v = -v
-        result[n] = v
-    return result
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel J_n(x), integer order."""
-    return bessel_j_many((int(n),), float(x))[int(n)]
-
-
-def bessel_j_prime(n: int, x: float) -> float:
-    """J_n'(x) from the downward recurrence relation J_n' = J_{n-1} - (n/x) J_n."""
-    n = int(n)
-    if x == 0.0:
-        if abs(n) == 1:
-            return 0.5 if n == 1 else -0.5
-        return 0.0
-    vals = bessel_j_many((n - 1, n), x)
-    return vals[n - 1] - (n / x) * vals[n]
-
-
-# ----------------------------------------------------------------------
-# Bessel J, complex argument (vectorized Miller recurrence)
-# ----------------------------------------------------------------------
-
-def bessel_j_complex_many(orders, z: np.ndarray) -> dict:
-    """J_n(z) for nonnegative integer orders on an array of complex points.
-
-    One vectorized downward recurrence per call.  Normalization uses the
-    Neumann sum for nearly-real points and cos z = J_0 + 2 sum (-1)^k J_2k
-    when |Im z| > 1, which keeps the normalizer conditioned where the
-    Neumann sum would suffer exponential cancellation.  This is the
-    rotation backend for modified Bessel functions at complex argument,
-    I_n(z) = i^{-n} J_n(iz).
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    abs_orders = tuple(sorted({int(n) for n in orders}))
-    if min(abs_orders) < 0:
-        raise SpecialFunctionError("bessel_j_complex_many requires n >= 0")
-    n_max = max(abs_orders)
-    m = _miller_start_index(n_max, float(np.max(np.abs(z))) if z.size else 1.0)
-    shape = z.shape
-    fp = np.zeros(shape, dtype=np.complex128)
-    f = np.full(shape, 1e-30, dtype=np.complex128)
-    neumann = np.zeros(shape, dtype=np.complex128)
-    cos_norm = np.zeros(shape, dtype=np.complex128)
-    wanted = {}
-    inv_z = 2.0 / z
-    for k in range(m, -1, -1):
-        fm = (k + 1) * inv_z * f - fp
-        fp = f
-        f = fm
-        if k in abs_orders:
-            wanted[k] = f.copy()
+        start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
+    order = np.argsort(start, axis=None, kind="stable")
+    starts, first = np.unique(start.ravel()[order], return_index=True)
+    seeds = dict(zip(starts.tolist(), np.split(order, first[1:])))
+    f = np.zeros(x.shape, dtype=x.dtype)   # unnormalized J_k
+    fp = np.zeros(x.shape, dtype=x.dtype)  # unnormalized J_{k+1}
+    neumann = np.zeros(x.shape, dtype=x.dtype)
+    cos_norm = np.zeros(x.shape, dtype=x.dtype)
+    inv_x = 2.0 / x
+    # |f| <= (k+1) max|2/x| |f_{k+1}| + |f_{k+2}|: a bound that spares the
+    # rescale test on the steps where no value can have passed 1e280
+    growth = float(np.max(np.abs(inv_x)))
+    bound = bound_p = 0.0
+    for k in range(int(starts[-1]), -1, -1):
+        if k in seeds:
+            f.flat[seeds[k]] = 1e-30
+            bound = max(bound, 1e-30)
+        f, fp = (k + 1) * inv_x * f - fp, f
+        bound, bound_p = ((k + 1) * growth * bound + bound_p) * (1.0 + 1e-12), bound
+        if k <= top:
+            out[k] = f
         if k % 2 == 0:
             w = f if k == 0 else 2.0 * f
             neumann = neumann + w
-            cos_norm = cos_norm + (w if (k // 2) % 2 == 0 else -w)
+            if cplx:
+                cos_norm = cos_norm + (w if (k // 2) % 2 == 0 else -w)
+        if bound <= 1e280:
+            continue
         big = np.abs(f) > 1e280
         if big.any():
             scale = np.where(big, 1e-280, 1.0)
@@ -428,12 +347,49 @@ def bessel_j_complex_many(orders, z: np.ndarray) -> dict:
             fp = fp * scale
             neumann = neumann * scale
             cos_norm = cos_norm * scale
-            for key in wanted:
-                wanted[key] = wanted[key] * scale
-    use_cos = np.abs(z.imag) > 1.0
-    ref = np.where(use_cos, np.cos(z), 1.0 + 0.0j)
-    norm = np.where(use_cos, cos_norm, neumann)
-    return {k: v * ref / norm for k, v in wanted.items()}
+            out[k:] *= scale
+        bound, bound_p = float(np.max(np.abs(f))), float(np.max(np.abs(fp)))
+    if cplx:
+        use_cos = np.abs(x.imag) > 1.0
+        out = out * np.where(use_cos, np.cos(x), 1.0 + 0.0j) / np.where(use_cos, cos_norm, neumann)
+    else:
+        out /= neumann
+    if zero.any():
+        out[:, zero] = 0.0
+        out[0, zero] = 1.0
+    return out
+
+
+def bessel_j_many(orders, x) -> dict:
+    """{n: J_n(x)} for integer orders (J_{-n} = (-1)^n J_n) from one kernel
+    pass; ``x`` is a real scalar or array."""
+    orders = [int(n) for n in orders]
+    j = bessel_j_orders(max(abs(n) for n in orders), np.asarray(x, dtype=float))
+    return {n: -j[-n] if n < 0 and n % 2 else j[abs(n)] for n in orders}
+
+
+def bessel_j(n: int, x: float) -> float:
+    """Bessel J_n(x), integer order."""
+    return bessel_j_many((n,), x)[int(n)]
+
+
+def bessel_j_prime(n: int, x: float) -> float:
+    """J_n'(x) = (J_{n-1}(x) - J_{n+1}(x)) / 2."""
+    n = int(n)
+    v = bessel_j_many((n - 1, n + 1), x)
+    return 0.5 * (v[n - 1] - v[n + 1])
+
+
+def bessel_j_complex_many(orders, z: np.ndarray) -> dict:
+    """{n: J_n(z)} for nonnegative integer orders on an array of complex
+    points, from one kernel pass.  This is the rotation backend for
+    modified Bessel functions at complex argument, I_n(z) = i^{-n} J_n(iz).
+    """
+    orders = sorted({int(n) for n in orders})
+    if orders[0] < 0:
+        raise SpecialFunctionError("bessel_j_complex_many requires n >= 0")
+    j = bessel_j_orders(orders[-1], np.asarray(z, dtype=np.complex128))
+    return {k: j[k] for k in orders}
 
 
 # ----------------------------------------------------------------------

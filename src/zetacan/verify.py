@@ -125,7 +125,7 @@ def suite_interlacing(n_max: int = 10, m_max: int = 3, K: int = 50):
                           for i in range(len(lam) - 1)]
                 if any(c != 1 for c in counts):
                     interlace_ok = False
-                derivs = [besselx.cross_L_prime(nu, m, float(x)) for x in lam[:12]]
+                derivs = besselx.cross_L_prime(nu, m, lam[:12])
                 signs = np.sign(derivs)
                 if np.any(signs == 0) or np.any(signs[1:] * signs[:-1] >= 0):
                     simple_ok = False

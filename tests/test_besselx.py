@@ -7,7 +7,7 @@ from scipy.special import jn_zeros, jnp_zeros
 
 from zetacan import besselx as bx
 from zetacan.numerics import adaptive_quad, zero_tail_sum
-from zetacan.special import bessel_j_many
+from zetacan.special import bessel_j, bessel_j_many, bessel_j_prime
 
 
 class TestZeroTables:
@@ -29,6 +29,41 @@ class TestZeroTables:
             j1 = bx.bessel_j_zeros(n, 1)[0]
             jp1 = bx.bessel_jp_zeros(n, 1)[0]
             assert j1 > jp1 > n
+
+    @pytest.mark.parametrize("kind", ["j", "jp"])
+    def test_full_tables_against_scipy(self, kind, monkeypatch):
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        own_zeros, ref_zeros = ((bx.bessel_j_zeros, jn_zeros) if kind == "j"
+                                else (bx.bessel_jp_zeros, jnp_zeros))
+        for order in range(65):
+            own = own_zeros(order, 80)
+            ref = ref_zeros(order, 80)
+            assert np.max(np.abs(own - ref) / ref) <= 1e-14, order
+
+    @pytest.mark.parametrize("zeros_of", [bx.bessel_j_zeros, bx.bessel_jp_zeros])
+    def test_request_order_does_not_matter(self, zeros_of, monkeypatch):
+        requests = [(n, 5 + 3 * n) for n in range(0, 40, 3)]
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        ascending = [zeros_of(n, c) for n, c in requests]
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        descending = [zeros_of(n, c) for n, c in reversed(requests)][::-1]
+        for a, d in zip(ascending, descending):
+            assert np.array_equal(a, d)
+
+    def test_growth_builds_once(self, monkeypatch):
+        # a request past the table triggers exactly one build, never a
+        # cascade of lower-order rebuilds
+        builds = []
+        build = bx._build_zero_table
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        monkeypatch.setattr(bx, "_build_zero_table",
+                            lambda *a: builds.append(a) or build(*a))
+        for order, count, grows in ((3, 10, True), (2, 10, False), (7, 10, False),
+                                    (12, 10, True), (12, 11, True), (0, 40, True),
+                                    (25, 5, True), (10, 40, False)):
+            before = len(builds)
+            assert len(bx.bessel_j_zeros(order, count)) == count
+            assert len(builds) - before == int(grows), (order, count)
 
 
 class TestCrossProducts:
@@ -197,9 +232,9 @@ class TestEigenNorm:
         # int_0^1 x J_n(a x)^2 dx = (1/2) J_n'(a)^2 at a = j_{n,1}
         for n in (1, 3):
             a = float(bx.bessel_j_zeros(n, 1)[0])
-            val = adaptive_quad(lambda x: x * bx._j(n, a * x) ** 2, 0.0, 1.0,
+            val = adaptive_quad(lambda x: x * bessel_j(n, a * x) ** 2, 0.0, 1.0,
                                 tol=1e-12)
-            assert val == pytest.approx(0.5 * bx._jp(n, a) ** 2, rel=1e-10)
+            assert val == pytest.approx(0.5 * bessel_j_prime(n, a) ** 2, rel=1e-10)
 
     def test_probe_continuity_and_norm(self):
         # the physical weight carries max(1,r)^{2m+4} (metric weight
@@ -218,8 +253,8 @@ class TestEigenNorm:
                 * r / r ** (2 * m + 4), 1.0, math.inf, tol=1e-12))
         assert norm > 0.0
         lhs, rhs = bx.eigen_norm_check(nu, m, lam)
-        ja = bx._j(nu, lam)
-        jb = bx._j(nu - m, lam)
+        ja = bessel_j(nu, lam)
+        jb = bessel_j(nu - m, lam)
         assert 2.0 * (jb / ja) * norm == pytest.approx(rhs, rel=1e-9)
         assert lhs == pytest.approx(rhs, rel=1e-7)
 

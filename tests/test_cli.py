@@ -133,15 +133,3 @@ class TestSerialization:
         assert code == 0 and out == ""
         doc = json.loads(path.read_text())
         assert doc["kind"] == "zeta"
-
-    def test_threads_env_accepted(self, tmp_path, monkeypatch):
-        import os
-        import subprocess as sp
-
-        env = dict(os.environ, ZETACAN_THREADS="2")
-        proc = sp.run([sys.executable, "-m", "zetacan.cli", "spectrum",
-                       "--m", "0", "--n-max", "2", "--k-max", "3",
-                       "--format", "csv"], capture_output=True, text=True,
-                      env=env)
-        assert proc.returncode == 0
-        assert len(proc.stdout.strip().splitlines()) == 7

@@ -1,0 +1,53 @@
+"""Golden CLI reports: zeta (profile and contour cross-checks) and torsion.
+
+``golden/reports.json`` holds stdout, exit code and the stderr error class
+("configuration error", "numerical failure") of ``zeta --m M
+--check-routes profile,contour`` and ``torsion --m M`` for M in
+{0, 1, 6, 17, 24, 40, 58, 59}, captured from the CLI before the J kernel
+and zero solvers were rewritten.  The known failures (profile not certified
+from M = 24, torsion overflow at M = 59) must keep failing the same way,
+and every reported value must stay where it was.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from zetacan import cli
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "reports.json").read_text())
+
+# |route - closed|: differences of O(1) values, compared in absolute terms
+DIFFERENCES = ("discrepancies", "discrepancy")
+
+
+def _assert_close(got, want, path, absolute=False):
+    if isinstance(want, dict):
+        assert list(got) == list(want), path
+        for k in want:
+            _assert_close(got[k], want[k], f"{path}.{k}", absolute or k in DIFFERENCES)
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_close(g, w, f"{path}[{i}]", absolute)
+    elif isinstance(want, float):
+        assert isinstance(got, float), path
+        if absolute:
+            assert got == pytest.approx(want, rel=0.0, abs=1e-12), path
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
+    else:
+        assert got == want and type(got) is type(want), path
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[" ".join(c["argv"]) for c in GOLDEN])
+def test_report_matches_golden(case, capsys):
+    code = cli.main(case["argv"])
+    out, err = capsys.readouterr()
+    assert code == case["returncode"]
+    assert (err.split(":")[0] if err else None) == case["error"]
+    if case["stdout"]:
+        _assert_close(json.loads(out), json.loads(case["stdout"]), "$")
+    else:
+        assert out == ""

@@ -43,6 +43,36 @@ class TestBrent:
         assert lo <= root <= hi
 
 
+class TestNewtonBrackets:
+    def test_sine_roots_in_lockstep(self):
+        k = np.arange(1, 21)
+        lo, hi = k * math.pi - 1.0, k * math.pi + 1.3
+        roots = num.newton_brackets(lambda x, idx: (np.sin(x), np.cos(x)),
+                                    lo, hi, np.sin(lo) < 0.0)
+        assert np.max(np.abs(roots - k * math.pi) / (k * math.pi)) < 4e-16
+
+    def test_bisection_when_newton_leaves_the_bracket(self):
+        # a derivative of the wrong sign sends every Newton step outside
+        roots = num.newton_brackets(lambda x, idx: (x ** 3 - 2.0, -np.ones_like(x)),
+                                    np.array([0.0]), np.array([3.0]), np.array([True]),
+                                    tol=1e-12)
+        assert roots[0] == pytest.approx(2.0 ** (1.0 / 3.0), abs=2e-12)
+
+    def test_fdf_gets_bracket_indices(self):
+        # the second bracket converges later; fdf must then see only it
+        targets = np.array([0.5, 1.7])
+        fdf = lambda x, idx: ((x - targets[idx]) ** 3, 3.0 * (x - targets[idx]) ** 2)
+        roots = num.newton_brackets(fdf, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                                    np.array([True, True]), tol=1e-12)
+        assert roots == pytest.approx(targets, abs=1e-11)
+
+    def test_not_converged_raises(self):
+        # pure bisection (f' = 0) cannot shrink a 1e300-wide bracket in time
+        with pytest.raises(num.BracketError):
+            num.newton_brackets(lambda x, idx: (x - 0.1, np.zeros_like(x)),
+                                np.array([0.0]), np.array([1e300]), np.array([True]))
+
+
 class TestQuad:
     def test_fs_base_integral(self):
         f = lambda u: (math.log1p(u) - math.log(max(1.0, u))) / (1.0 + u) ** 2

@@ -139,6 +139,53 @@ class TestBesselJ:
             assert np.max(np.abs(vals[n] - ref) / np.abs(ref)) < 1e-11
 
 
+class TestKernel:
+    """bessel_j_orders: one recurrence for all orders at all points."""
+
+    def test_real_against_scipy(self):
+        # orders 0..64 on (0, 300]: relative error where J_n is monotone
+        # (x < n, down to tiny x), envelope-scaled where it oscillates
+        x = np.concatenate([np.geomspace(1e-8, 1.0, 40), np.linspace(0.05, 300.0, 1500)])
+        own = sp.bessel_j_orders(64, x)
+        for n in range(65):
+            ref = jv(n, x)
+            small = (x < n) & (np.abs(ref) > 1e-290)
+            rel = np.abs(own[n] - ref) / np.abs(np.where(small, ref, 1.0))
+            assert np.max(rel[small], initial=0.0) < 1e-12, n
+            scale = np.maximum(np.abs(ref), np.sqrt(2.0 / (np.pi * x)))
+            big = x >= n
+            assert np.max((np.abs(own[n] - ref) / scale)[big], initial=0.0) < 1e-12, n
+
+    def test_shape_and_zero_argument(self):
+        own = sp.bessel_j_orders(3, np.array([[0.0, 2.0], [-2.0, 5.0]]))
+        assert own.shape == (4, 2, 2)
+        assert list(own[:, 0, 0]) == [1.0, 0.0, 0.0, 0.0]
+        assert np.allclose(own[:, 1, 0], jv(np.arange(4), -2.0), rtol=1e-14, atol=1e-16)
+
+    def test_per_point_orders_do_not_couple_points(self):
+        # a real value depends only on its own point and top order
+        x = np.array([2.5, 40.0, 170.0])
+        together = sp.bessel_j_orders(np.array([3, 7, 50]), x)
+        for i, n in enumerate((3, 7, 50)):
+            alone = sp.bessel_j_orders(n, x[i:i + 1])
+            assert np.array_equal(together[:n + 1, i], alone[:, 0])
+
+    def test_complex_bit_identical_to_fixture(self):
+        # values captured from the previous complex recurrence at contour
+        # nodes of the zeta contour route; the kernel must reproduce them
+        # exactly so contour-route results do not move
+        from pathlib import Path
+
+        with np.load(Path(__file__).parent / "golden" / "complex_j.npz") as d:
+            cases = sorted(k[2:] for k in d.files if k.startswith("z_"))
+            assert cases
+            for key in cases:
+                orders = tuple(int(n) for n in d[f"orders_{key}"])
+                vals = sp.bessel_j_complex_many(orders, d[f"z_{key}"])
+                got = np.stack([vals[n] for n in orders])
+                assert np.array_equal(got, d[f"j_{key}"]), key
+
+
 class TestBesselILog:
     def test_small_x_leading_term(self):
         for n in (0, 2, 7):
