@@ -1,4 +1,5 @@
-"""Golden CLI reports: zeta (profile and contour cross-checks) and torsion.
+"""Golden CLI outputs: spectrum tables, zeta (profile and contour
+cross-checks) and torsion reports, and the verify verdicts.
 
 ``golden/reports.json`` holds stdout, exit code and the stderr error class
 ("configuration error", "numerical failure") of ``zeta --m M
@@ -7,6 +8,12 @@
 and zero solvers were rewritten.  The known failures (profile not certified
 from M = 24, torsion overflow at M = 59) must keep failing the same way,
 and every reported value must stay where it was.
+
+``golden/spectrum_m{M}.{csv,json}`` hold the exact stdout of ``spectrum --m M
+--n-max 6 --k-max 8`` for M in {0, 1, 2, 17, 30}, compared byte for byte.
+``golden/verify_all.txt`` holds the 85 verdicts and check names of ``verify
+--suite all``; the ``err=`` details are left out, since they may move in the
+last digits when an implementation is merged or reordered.
 """
 
 import json
@@ -16,7 +23,8 @@ import pytest
 
 from zetacan import cli
 
-GOLDEN = json.loads((Path(__file__).parent / "golden" / "reports.json").read_text())
+DIR = Path(__file__).parent / "golden"
+GOLDEN = json.loads((DIR / "reports.json").read_text())
 
 # |route - closed|: differences of O(1) values, compared in absolute terms
 DIFFERENCES = ("discrepancies", "discrepancy")
@@ -51,3 +59,22 @@ def test_report_matches_golden(case, capsys):
         _assert_close(json.loads(out), json.loads(case["stdout"]), "$")
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("m", [0, 1, 2, 17, 30])
+def test_spectrum_matches_golden(m, fmt, capsys):
+    code = cli.main(["spectrum", "--m", str(m), "--n-max", "6", "--k-max", "8",
+                     "--format", fmt])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == (DIR / f"spectrum_m{m}.{fmt}").read_bytes().decode()
+
+
+def test_verify_verdicts_match_golden(capsys):
+    code = cli.main(["verify", "--suite", "all"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[-1] == "85/85 checks passed"
+    verdicts = [line.split("  [")[0] for line in lines[:-1]]
+    assert verdicts == (DIR / "verify_all.txt").read_text().splitlines()
