@@ -12,33 +12,13 @@ determinants; the two pipelines agree:
     zeta'(0) = 4 zeta'_Q(-1) - 1/6 - log((m+2)^{m+1} / ((m+1)!)^2) = T_g(m).
 """
 
-from .besselx import (CrossProductSpec, SpectralSequence, Spectrum, cross_G_log,
-                      cross_L, eigen_norm_check, spectrum, taylor_sum_rule,
-                      zeros)
-from .numerics import (AsymptoticProfile, ContourSpec, adaptive_quad,
-                       brent_root, euler_maclaurin_tail, fit_asymptotic_profile,
-                       mellin_contour_zeta, mellin_zeta_critical_values,
-                       zero_tail_sum)
-from .special import (bessel_i_log, bessel_i_prime_log, bessel_i_uniform_log,
-                      bessel_j, log_gamma, riemann_zeta, riemann_zeta_prime)
-from .torsion import TorsionReport, gram_det, gram_entry, quillen_logs, torsion_g
-from .zetareg import (RegularizationReport, dirichlet_neumann_block,
-                      eta_at_zero, eta_function, family_components,
-                      zeta_canonical, zeta_from_profile, zeta_tail_block)
+from .besselx import CrossProductSpec, spectrum, zeros
+from .torsion import torsion_g
+from .zetareg import dirichlet_neumann_block, zeta_canonical
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossProductSpec", "SpectralSequence", "Spectrum", "cross_G_log",
-    "cross_L", "eigen_norm_check", "spectrum", "taylor_sum_rule", "zeros",
-    "AsymptoticProfile", "ContourSpec", "adaptive_quad", "brent_root",
-    "euler_maclaurin_tail", "fit_asymptotic_profile", "mellin_contour_zeta",
-    "mellin_zeta_critical_values", "zero_tail_sum",
-    "bessel_i_log", "bessel_i_prime_log", "bessel_i_uniform_log", "bessel_j",
-    "log_gamma", "riemann_zeta", "riemann_zeta_prime",
-    "TorsionReport", "gram_det", "gram_entry", "quillen_logs", "torsion_g",
-    "RegularizationReport", "dirichlet_neumann_block", "eta_at_zero",
-    "eta_function", "family_components", "zeta_canonical", "zeta_from_profile",
-    "zeta_tail_block",
-    "__version__",
+    "CrossProductSpec", "zeros", "spectrum", "zeta_canonical",
+    "dirichlet_neumann_block", "torsion_g", "__version__",
 ]

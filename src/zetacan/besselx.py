@@ -25,7 +25,7 @@ certifies them, so the module has no dependency on tabulated zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,9 +53,7 @@ __all__ = [
     "canonical_orders",
     "spectrum",
     "eigen_norm_check",
-    "EigenfunctionProbe",
     "eigenfunction_radial",
-    "write_zeros_csv",
 ]
 
 
@@ -81,17 +79,13 @@ class CrossProductSpec:
 
 @dataclass
 class SpectralSequence:
-    """Ordered positive zeros of one cross product, with certification data."""
+    """Ordered positive zeros of one cross product, with |L_n| at each zero
+    and the local scale of |L_n| (its larger value at the two neighbouring
+    midpoints) that the residual is judged against."""
     spec: CrossProductSpec
     zeros: np.ndarray
     residuals: np.ndarray
     local_scales: np.ndarray
-    certified_count: int
-    multiplicities: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if self.multiplicities is None:
-            self.multiplicities = np.ones(len(self.zeros), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -388,8 +382,7 @@ def zeros(spec: CrossProductSpec, K: int, tol: float = 1e-12) -> SpectralSequenc
     at = np.abs(cross_L(nu, m, np.concatenate([lam, 0.5 * (ext[:-1] + ext[1:])])))
     mid = at[len(lam):]
     return SpectralSequence(spec=cspec, zeros=lam, residuals=at[:len(lam)],
-                            local_scales=np.maximum(mid[:-1], mid[1:]),
-                            certified_count=len(lam))
+                            local_scales=np.maximum(mid[:-1], mid[1:]))
 
 
 # ----------------------------------------------------------------------
@@ -492,28 +485,6 @@ def spectrum(m: int, n_orders: int, K: int, tol: float = 1e-12) -> Spectrum:
 # Eigenfunction norm identity
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EigenfunctionProbe:
-    """Piecewise radial eigenfunction profile for lambda in Z_nu."""
-    nu: int
-    m: int
-    lam: float
-
-    def __call__(self, r: float) -> float:
-        return eigenfunction_radial(self.nu, self.m, self.lam, r)
-
-    def weight(self, r: float) -> float:
-        """Physical norm weight r / max(1,r)^{2m+4} (metric x volume)."""
-        return r / max(1.0, r) ** (2 * self.m + 4)
-
-    def squared_norm(self, tol: float = 1e-12) -> float:
-        from .numerics import adaptive_quad
-
-        f = lambda r: self(r) ** 2 * self.weight(r)
-        return (adaptive_quad(f, 0.0, 1.0, tol=tol)
-                + adaptive_quad(f, 1.0, math.inf, tol=tol))
-
-
 def eigenfunction_radial(nu: int, m: int, lam: float, r: float) -> float:
     """Radial profile: J_nu(lam r) inside r <= 1, matched
     (J_nu(lam)/J_{nu-m}(lam)) r^m J_{nu-m}(lam/r) branch outside.
@@ -530,7 +501,8 @@ def eigenfunction_radial(nu: int, m: int, lam: float, r: float) -> float:
 def eigen_norm_check(nu: int, m: int, lam: float):
     """Both sides of  L_nu'(lambda) = 2 (J_{nu-m}/J_nu)(lambda) * I(lambda).
 
-    I is the closed-form squared norm of the eigenfunction probe,
+    I is the closed-form squared norm of the radial eigenfunction
+    (eigenfunction_radial),
 
         I = (1/2) (J_nu'^2 + (1 - nu^2/lam^2) J_nu^2)
           + (J_nu^2 / (2 J_{nu-m}^2)) (J_{nu-m}'^2 + (1 - (nu-m)^2/lam^2) J_{nu-m}^2),
@@ -549,22 +521,3 @@ def eigen_norm_check(nu: int, m: int, lam: float):
             * (jbp ** 2 + (1.0 - (nu - m) ** 2 / lam ** 2) * jb ** 2))
     rhs = 2.0 * (jb / ja) * norm
     return lhs, rhs
-
-
-# ----------------------------------------------------------------------
-# Export
-# ----------------------------------------------------------------------
-
-def write_zeros_csv(path, sequences):
-    """CSV of zero tables: columns m, n, k, lambda, multiplicity, residual."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "n", "k", "lambda", "multiplicity", "residual"])
-        for seq in sequences:
-            for k, lam in enumerate(seq.zeros, start=1):
-                w.writerow([seq.spec.m, seq.spec.n, k,
-                            format(float(lam), ".17g"),
-                            int(seq.multiplicities[k - 1]),
-                            format(float(seq.residuals[k - 1]), ".3e")])

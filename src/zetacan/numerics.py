@@ -9,7 +9,6 @@ scipy is imported only when they run.  The rest is the package's own:
 
 * least-squares extraction of the large-argument profile
   ``d z + a log z^2 + b + c1/z + ...`` of a log-product along a real ray,
-* Euler-Maclaurin completion of slowly decaying sums,
 * tail completion of zero sequences ``lambda_k ~ pi (k + delta)`` with the
   slope pinned to pi and the offset fitted,
 * the contour representation of a spectral zeta function along the wedge
@@ -41,7 +40,6 @@ __all__ = [
     "brent_root",
     "newton_brackets",
     "adaptive_quad",
-    "euler_maclaurin_tail",
     "AsymptoticProfile",
     "fit_asymptotic_profile",
     "zero_tail_sum",
@@ -140,33 +138,6 @@ def adaptive_quad(f, a: float, b: float, tol: float = 1e-10,
     return val
 
 
-def euler_maclaurin_tail(term, K: int, s: float = 2.0, tol: float = 1e-12):
-    """Estimate sum_{k > K} term(k) for smooth, power-law-decaying terms.
-
-    Euler-Maclaurin with the integral done adaptively and the first two
-    Bernoulli corrections from finite differences.  Returns
-    ``(value, error_estimate)``.  ``s`` is the expected decay exponent
-    scale used only for the divergence guard (non-summable tails, i.e.
-    effective exponent <= 1, are rejected).
-    """
-    a = K + 1.0
-    f = [term(a + i) for i in (-2.0, -1.0, 0.0, 1.0, 2.0)]
-    base = abs(f[2])
-    if base > 0.0 and K >= 4:
-        decay = term(2.0 * a)
-        if abs(decay) > 0.0:
-            p = -math.log(abs(decay) / base) / math.log(2.0)
-            if p <= 1.0 + 1e-9:
-                raise QuadratureError(
-                    f"tail appears non-summable (decay exponent {p:.3f})")
-    integral = adaptive_quad(term, a, math.inf, tol=tol)
-    d1 = (8.0 * (f[3] - f[1]) - (f[4] - f[0])) / 12.0
-    d3 = (f[4] - 2.0 * f[3] + 2.0 * f[1] - f[0]) / 2.0
-    value = integral + 0.5 * f[2] - d1 / 12.0 + d3 / 720.0
-    err = abs(d3) / 720.0 + tol
-    return value, err
-
-
 # ----------------------------------------------------------------------
 # Asymptotic profiles
 # ----------------------------------------------------------------------
@@ -185,16 +156,6 @@ class AsymptoticProfile:
     c1: float = 0.0
     c2: float = 0.0
     fit_residual: float = 0.0
-
-    def __neg__(self) -> "AsymptoticProfile":
-        return AsymptoticProfile(-self.d, -self.a, -self.b, -self.c1, -self.c2,
-                                 self.fit_residual)
-
-    def __add__(self, other: "AsymptoticProfile") -> "AsymptoticProfile":
-        return AsymptoticProfile(
-            self.d + other.d, self.a + other.a, self.b + other.b,
-            self.c1 + other.c1, self.c2 + other.c2,
-            max(self.fit_residual, other.fit_residual))
 
     def certified(self, threshold: float = 1e-8) -> bool:
         return self.fit_residual <= threshold

@@ -1,8 +1,10 @@
 r"""Special-function kernel: gamma family, Riemann/Hurwitz zeta and their
-s-derivatives, and Bessel J/I evaluation across series, large-argument and
-uniform large-order regimes.
+s-derivatives, Bessel J of integer order, log-scaled Bessel I, and the Debye
+(uniform large-order) ingredients.
 
-Everything here is a pure function of its arguments.  Bessel J of integer
+Everything here is a pure function of its arguments.  Hurwitz zeta, its
+s-derivative and digamma come from one Euler-Maclaurin form; Riemann zeta
+values for s < -1/2 go through the functional equation.  Bessel J of integer
 order comes from one array-first kernel, ``bessel_j_orders``: a downward
 (Miller) recurrence that yields all orders 0..n at every point of a real or
 complex array in one pass, normalized by the Neumann series (against
@@ -10,29 +12,25 @@ complex array in one pass, normalized by the Neumann series (against
 would be ill-conditioned).  ``bessel_j``, ``bessel_j_many``,
 ``bessel_j_prime`` and ``bessel_j_complex_many`` are thin views of it.
 
-Modified Bessel functions (power series, large-argument asymptotics and
-Debye-type uniform large-order asymptotics, https://dlmf.nist.gov/10.40 and
-https://dlmf.nist.gov/10.41) are returned log-scaled so that cross products
-at large order/argument never overflow.
+Modified Bessel functions I_n(x) are returned log-scaled, so that cross
+products at large order/argument never overflow: large-argument asymptotics
+(https://dlmf.nist.gov/10.40) once x >= max(35, 1.2 n^2), where that series
+decays, and the power series below.  ``bessel_i_uniform_log`` and the Debye
+polynomials give the uniform large-order form (https://dlmf.nist.gov/10.41).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
 __all__ = [
     "EULER_GAMMA",
-    "BesselRegime",
-    "RegimeThresholds",
-    "classify_bessel_regime",
     "log_gamma",
     "stirling_remainder_r2",
-    "stirling_remainder_r2_total",
+    "stirling_remainder_r2_sum",
     "hurwitz_zeta",
     "hurwitz_zeta_prime",
     "riemann_zeta",
@@ -44,9 +42,7 @@ __all__ = [
     "bessel_j_prime",
     "bessel_j_complex_many",
     "bessel_i_log",
-    "bessel_i_prime_log",
     "bessel_i_uniform_log",
-    "UniformExpansionTerms",
     "eta_debye",
     "eta_debye_minus_z_eta_prime",
     "u1_debye",
@@ -104,24 +100,20 @@ def stirling_remainder_r2(n: float) -> float:
     )
 
 
-def stirling_remainder_r2_total(n_direct: int = 120) -> float:
-    """Sum of R2(n) over n >= 1.
+def stirling_remainder_r2_sum(s: float, n_direct: int = 150) -> float:
+    """sum_{n >= 1} R2(n) n^{-2s}.
 
     Direct summation up to ``n_direct``; the tail uses the Stirling series
     R2(n) = sum_{j>=2} B_{2j} / ((2j)(2j-1) n^{2j-1}) summed against Hurwitz
     zeta values.
     """
     total = 0.0
-    comp = 0.0
     for n in range(1, n_direct + 1):
-        term = stirling_remainder_r2(float(n))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+        total += stirling_remainder_r2(float(n)) * n ** (-2.0 * s)
     for j in range(2, 7):
         b = float(_BERNOULLI[2 * j])
-        total += b / ((2 * j) * (2 * j - 1)) * hurwitz_zeta(2 * j - 1.0, n_direct + 1.0)
+        total += b / ((2 * j) * (2 * j - 1)) * hurwitz_zeta(
+            2 * j - 1.0 + 2.0 * s, n_direct + 1.0)
     return total
 
 
@@ -203,6 +195,15 @@ def hurwitz_zeta_prime(s: float, a: float = 1.0, n_terms: int = 36, n_corr: int 
     return acc
 
 
+def _digamma(x: float) -> float:
+    """psi(x) for x > 0, the s -> 1 limit of hurwitz_zeta's Euler-Maclaurin
+    form: psi(x) = -lim (zeta(s, x) - 1/(s - 1)), same truncation."""
+    w = 36 + x
+    tail = math.log(w) - 0.5 / w - sum(
+        float(_BERNOULLI[2 * j]) / (2 * j) * w ** (-2 * j) for j in range(1, 13))
+    return tail - math.fsum(1.0 / (k + x) for k in range(36))
+
+
 def riemann_zeta(s: float) -> float:
     """Riemann zeta at real s != 1.
 
@@ -231,15 +232,13 @@ def riemann_zeta_prime(s: float) -> float:
         return ((-1.0) ** k * math.factorial(2 * k)
                 * hurwitz_zeta(2.0 * k + 1.0, 1.0)
                 / (2.0 ** (2 * k + 1) * math.pi ** (2 * k)))
-    from scipy.special import digamma
-
     z1 = hurwitz_zeta(1.0 - s, 1.0)
     d1 = hurwitz_zeta_prime(1.0 - s, 1.0)
     val = (2.0 ** s * math.pi ** (s - 1.0) * math.sin(0.5 * math.pi * s)
            * math.gamma(1.0 - s) * z1)
     logderiv = (math.log(2.0 * math.pi)
                 + 0.5 * math.pi / math.tan(0.5 * math.pi * s)
-                - digamma(1.0 - s) - d1 / z1)
+                - _digamma(1.0 - s) - d1 / z1)
     return val * logderiv
 
 
@@ -251,35 +250,6 @@ def log_glaisher() -> float:
 # ----------------------------------------------------------------------
 # Bessel J, real argument
 # ----------------------------------------------------------------------
-
-class BesselRegime(Enum):
-    SERIES = "series"
-    LARGE_ARGUMENT = "large_argument"
-    UNIFORM_LARGE_ORDER = "uniform_large_order"
-
-
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Default dispatch cutoffs; regimes overlap and must agree on the bands."""
-    series_cutoff: float = 12.0
-    series_order_factor: float = 2.0
-    uniform_min_order: int = 30
-
-    def series_limit(self, n: int) -> float:
-        return max(self.series_cutoff, self.series_order_factor * abs(n))
-
-
-DEFAULT_THRESHOLDS = RegimeThresholds()
-
-
-def classify_bessel_regime(n: int, x: float,
-                           thresholds: RegimeThresholds = DEFAULT_THRESHOLDS) -> BesselRegime:
-    if abs(x) <= thresholds.series_limit(n):
-        return BesselRegime.SERIES
-    if abs(n) >= thresholds.uniform_min_order:
-        return BesselRegime.UNIFORM_LARGE_ORDER
-    return BesselRegime.LARGE_ARGUMENT
-
 
 def _miller_start(n_max, xa):
     # xa = max(|x|, 1); one index past which J is negligible for orders <= n_max
@@ -440,27 +410,16 @@ def _asymptotic_i_log(n: int, x: float) -> float:
 def bessel_i_log(n: int, x: float):
     """(log I_n(x), sign) for x > 0; sign is always +1 for integer order.
 
-    Series regime below max(12, 2n); large-argument asymptotics once the
-    asymptotic series actually decays (x >> n^2); extended series between.
+    Large-argument asymptotics once that series actually decays,
+    x >= max(35, 1.2 n^2); the power series (all terms positive) below.
     The log scaling never overflows for x <= 1e5.
     """
     n = abs(int(n))
     if x <= 0.0:
         raise SpecialFunctionError("bessel_i_log requires x > 0")
-    if x <= DEFAULT_THRESHOLDS.series_limit(n):
-        return _series_i_log(n, x), 1
     if x >= max(35.0, 1.2 * n * n):
         return _asymptotic_i_log(n, x), 1
     return _series_i_log(n, x), 1
-
-
-def bessel_i_prime_log(n: int, x: float):
-    """(log I_n'(x), sign) via I_n' = (I_{n-1} + I_{n+1}) / 2."""
-    n = int(n)
-    la, _ = bessel_i_log(abs(n - 1), x)
-    lb, _ = bessel_i_log(abs(n + 1), x)
-    hi, lo = (la, lb) if la >= lb else (lb, la)
-    return hi + math.log1p(math.exp(lo - hi)) - math.log(2.0), 1
 
 
 # ----------------------------------------------------------------------
@@ -495,29 +454,6 @@ def uniform_w_poly(m: int, p: float) -> float:
     At p = 1 this is -(m(m+1)/2 + 1/6); at m = 0 it equals u_1 + v_1.
     """
     return -0.25 * (2.0 * m * m + 2.0 * m + 1.0) * p + p ** 3 / 12.0
-
-
-@dataclass(frozen=True)
-class UniformExpansionTerms:
-    """The Debye-expansion ingredients as one bundle.
-
-    eta_of_z(z) = sqrt(1+z^2) + log(z/(1+sqrt(1+z^2))); u1 and v1 are the
-    first correction polynomials in p = (1+z^2)^(-1/2) for I_n and I_n'.
-    Invariants: v1 at z -> 0 (p = 1) equals -1/12 and vanishes as z -> oo
-    (p = 0); eta(z) - z eta'(z) ~ log z as z -> 0+ (exactly log(z/2)).
-    """
-
-    def eta_of_z(self, z: float) -> float:
-        return eta_debye(z)
-
-    def eta_minus_z_eta_prime(self, z: float) -> float:
-        return eta_debye_minus_z_eta_prime(z)
-
-    def u1(self, p: float) -> float:
-        return u1_debye(p)
-
-    def v1(self, p: float) -> float:
-        return v1_debye(p)
 
 
 def bessel_i_uniform_log(n: int, z: float, include_u1: bool = True) -> float:

@@ -11,8 +11,10 @@ Both metrics in play are rotation invariant: the Fubini-Study metric
 Every P^1 integral radializes; the canonical side reduces to a circle
 average on |z| = 1 (the first Chern current of the canonical metric is
 the uniform measure there) and the smooth side to one-dimensional
-integrals split at the kink r = 1.  Two base integrals carry the whole
-anomaly computation:
+integrals split at the kink r = 1.  The metrics enter only through these
+radial weights, written directly into the integrands of ``gram_entry``,
+``base_integral_circle`` and ``base_integral_fs``.  Two base integrals
+carry the whole anomaly computation:
 
     J_can = circle average of u           = log 2,
     J_fs  = int_0^inf u(r) dmu_FS         = 1 - log 2,
@@ -43,11 +45,8 @@ from .numerics import adaptive_quad
 from .special import log_gamma, riemann_zeta_prime
 
 __all__ = [
-    "MetricModel",
-    "RadialMeasure",
     "TorsionReport",
     "metric_log_ratio",
-    "c1_measure",
     "base_integral_circle",
     "base_integral_fs",
     "gram_entry",
@@ -56,68 +55,10 @@ __all__ = [
     "gram_det_closed",
     "bott_chern_ch_deg0",
     "bott_chern_td_deg0",
-    "bott_chern_series",
-    "bott_chern_transgression_deg0",
     "quillen_fs_log",
     "quillen_canonical_log",
-    "quillen_logs",
     "torsion_g",
 ]
-
-
-@dataclass(frozen=True)
-class MetricModel:
-    """Pointwise data of a rotation-invariant metric on O(m) over P^1."""
-    kind: str  # "canonical" | "fubini_study"
-    m: int
-
-    def __post_init__(self):
-        if self.kind not in ("canonical", "fubini_study"):
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.m < 0:
-            raise ValueError("m must be >= 0")
-
-    def weight(self, r: float) -> float:
-        """h(s,s) at |z| = r for the section with |s| = 1."""
-        if self.kind == "canonical":
-            return max(1.0, r) ** (-2 * self.m)
-        return (1.0 + r * r) ** (-self.m)
-
-    def volume_density(self, r: float) -> float:
-        """Radial density of the volume form: integrate f against
-        2 r dr * volume_density(r) to get int f omega."""
-        if self.kind == "canonical":
-            return 1.0 / max(1.0, r ** 4)
-        return 1.0 / (1.0 + r * r) ** 2
-
-
-@dataclass(frozen=True)
-class RadialMeasure:
-    """Rotation-invariant probability measure on P^1 (a c1 current of a
-    metric on O(1)): either the uniform measure on |z| = 1 or a smooth
-    radial density rho with int_0^inf rho(r) dr = 1."""
-    kind: str  # "circle" | "density"
-    density: object = None
-
-    def integrate(self, f, tol: float = 1e-12) -> float:
-        if self.kind == "circle":
-            # circle average; the integrand is rotation invariant
-            return adaptive_quad(lambda t: f(1.0), 0.0, 1.0, tol=tol)
-        return (adaptive_quad(lambda r: f(r) * self.density(r), 0.0, 1.0, tol=tol)
-                + adaptive_quad(lambda r: f(r) * self.density(r), 1.0, math.inf,
-                                tol=tol))
-
-
-def c1_measure(model: MetricModel) -> RadialMeasure:
-    """First Chern current of the O(1) version of the metric, radialized.
-
-    The canonical metric's current is the uniform measure on the unit
-    circle; the Fubini-Study current is the smooth density 2r/(1+r^2)^2.
-    """
-    if model.kind == "canonical":
-        return RadialMeasure(kind="circle")
-    return RadialMeasure(kind="density",
-                         density=lambda r: 2.0 * r / (1.0 + r * r) ** 2)
 
 
 def metric_log_ratio(r: float) -> float:
@@ -149,9 +90,10 @@ def gram_entry(m: int, k: int, tol: float = 1e-12) -> float:
     """
     if not (0 <= k <= m):
         raise ValueError("require 0 <= k <= m")
-    model = MetricModel("canonical", m)
-    # |z^k|^2 weight * volume, radialized: r^{2k} h(r) * 2r dr / max(1,r^4)
-    g = lambda r: 2.0 * r ** (2 * k + 1) * model.weight(r) * model.volume_density(r)
+    # |z^k|^2 h_can(r) against omega_can, radialized:
+    # r^{2k} max(1,r)^{-2m} * 2r dr / max(1,r^4)
+    g = lambda r: (2.0 * r ** (2 * k + 1) * max(1.0, r) ** (-2 * m)
+                   * (1.0 / max(1.0, r ** 4)))
     return (adaptive_quad(g, 0.0, 1.0, tol=tol)
             + adaptive_quad(g, 1.0, math.inf, tol=tol))
 
@@ -183,41 +125,6 @@ def gram_det_closed(m: int) -> Fraction:
 # ----------------------------------------------------------------------
 # Bott-Chern degree-zero pairings
 # ----------------------------------------------------------------------
-
-def bott_chern_transgression_deg0(u, mu1: RadialMeasure, mu2: RadialMeasure,
-                                  k_max: int = 2):
-    """Degree contributions of int ch~(L, h1, h2) against the fundamental
-    class, for a line bundle with -log(h2/h1) = u and c1 currents mu1, mu2.
-
-    On P^1 only k = 1, 2 survive (higher Chern powers vanish in dimension
-    one); the total is the symmetric pairing (1/2) int u d(mu1 + mu2).
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    contributions = []
-    if k_max >= 1:
-        contributions.append(mu1.integrate(u))
-    if k_max >= 2:
-        contributions.append(0.5 * (mu2.integrate(u) - mu1.integrate(u)))
-    contributions.extend(0.0 for _ in range(max(0, k_max - 2)))
-    return contributions
-
-
-def bott_chern_series(log_ratio, k_max: int = 2, mu1: RadialMeasure = None,
-                      mu2: RadialMeasure = None):
-    """Degree-graded Bott-Chern transgression coefficients for a metric
-    change with -log(h2/h1) = log_ratio on a line bundle over P^1.
-
-    Measures default to the canonical and Fubini-Study O(1) currents.  Only
-    k <= 2 contribute in dimension one; the list is padded with zeros up
-    to k_max.
-    """
-    if mu1 is None:
-        mu1 = c1_measure(MetricModel("canonical", 1))
-    if mu2 is None:
-        mu2 = c1_measure(MetricModel("fubini_study", 1))
-    return bott_chern_transgression_deg0(log_ratio, mu1, mu2, k_max=k_max)
-
 
 def bott_chern_ch_deg0(m: int, route: str = "closed", tol: float = 1e-11) -> float:
     """Degree-0 part of int ch~(O(m), h_FS, h_can) Td(TP^1_FS).
@@ -265,11 +172,6 @@ def quillen_fs_log(m: int) -> float:
 def quillen_canonical_log(m: int, route: str = "closed", tol: float = 1e-11) -> float:
     """-log h_Q for the canonical data; equals 1/6 - 4 zeta'(-1), m-free."""
     return quillen_fs_log(m) - quillen_anomaly(m, route, tol)
-
-
-def quillen_logs(m: int, route: str = "closed"):
-    """(-log h_Q_fs, -log h_Q_canonical)."""
-    return quillen_fs_log(m), quillen_canonical_log(m, route)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from .numerics import (ContourSpec, adaptive_quad, mellin_contour_zeta,
                        mellin_zeta_critical_values, AsymptoticProfile,
                        fit_asymptotic_profile, zero_tail_sum)
 from .special import (EULER_GAMMA, bessel_i_log, bessel_j, bessel_j_many,
-                      riemann_zeta, riemann_zeta_prime)
+                      riemann_zeta, riemann_zeta_prime, stirling_remainder_r2_sum)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "format_results"]
 
@@ -272,12 +272,10 @@ def suite_constants():
                       zetareg._eta_zero_richardson(), zetareg.eta_at_zero(), 1e-7))
     out.append(_check("constants: eta(2) direct vs continued",
                       zetareg.eta_direct(2.0), zetareg.eta_function(2.0), 1e-10))
-    from .special import stirling_remainder_r2_total
-
     r2_target = (2.0 * riemann_zeta_prime(-1.0) - 1.0 / 12.0
                  - EULER_GAMMA / 12.0 + 0.25 * math.log(2.0 * math.pi))
     out.append(_check("constants: sum R2(n) closed decomposition",
-                      stirling_remainder_r2_total(), r2_target, 1e-7))
+                      stirling_remainder_r2_sum(0.0), r2_target, 1e-7))
     fn0, fn0p = zetareg.f_component_closed(3.0 / 8.0, -7.0 / 24.0)
     out.append(_check("constants: F_N(0) = 1/24", fn0, 1.0 / 24.0, 1e-14))
     out.append(_check("constants: F_N'(0) = (gamma - log2 - 7/2)/12", fn0p,

@@ -32,12 +32,12 @@ import numpy as np
 
 from . import besselx
 from .besselx import CrossProductSpec, cross_G_norm_log, small_z_coefficient, small_z_exponent
-from .numerics import (AsymptoticProfile, ContourSpec,
+from .numerics import (AsymptoticProfile, ContourSpec, FitError,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
-from .special import (EULER_GAMMA, bessel_j_complex_many, hurwitz_zeta,
-                      log_gamma, riemann_zeta, riemann_zeta_prime,
-                      stirling_remainder_r2)
+from .special import (EULER_GAMMA, bessel_i_log, bessel_j_complex_many,
+                      hurwitz_zeta, hurwitz_zeta_prime, log_gamma, riemann_zeta,
+                      riemann_zeta_prime, stirling_remainder_r2_sum)
 
 __all__ = [
     "FamilyComponents",
@@ -128,9 +128,10 @@ class RegularizationReport:
 
 def zeta_from_profile(profile: AsymptoticProfile,
                       residual_threshold: float = 1e-8):
-    """(zeta(0), zeta'(0)) = (-a, -b) from a certified profile of -log p."""
+    """(zeta(0), zeta'(0)) = (-a, -b) from a certified profile of -log p;
+    FitError when the profile's fit residual is over ``residual_threshold``."""
     if not profile.certified(residual_threshold):
-        raise ValueError(
+        raise FitError(
             f"profile not certified: residual {profile.fit_residual:.2e}")
     return -profile.a, -profile.b
 
@@ -240,19 +241,6 @@ def _sequence_values(nu: int, m: int, route: str):
 # eta, gamma_k and F components
 # ----------------------------------------------------------------------
 
-def _r2_weighted_sum(s: float, n_direct: int = 150) -> float:
-    """sum_n R2(n) / n^{2s}, direct part plus Stirling-series tail."""
-    total = 0.0
-    for n in range(1, n_direct + 1):
-        total += stirling_remainder_r2(float(n)) * n ** (-2.0 * s)
-    from .special import _BERNOULLI  # Stirling tail coefficients
-    for j in range(2, 7):
-        b = float(_BERNOULLI[2 * j])
-        total += b / ((2 * j) * (2 * j - 1)) * hurwitz_zeta(
-            2 * j - 1.0 + 2.0 * s, n_direct + 1.0)
-    return total
-
-
 def eta_function(s: float) -> float:
     """eta(s) = sum log Gamma(n) n^{-2s} - (1/12) zeta(2s+1), continued.
 
@@ -267,16 +255,16 @@ def eta_function(s: float) -> float:
     return (-riemann_zeta_prime(2.0 * s - 1.0) - riemann_zeta(2.0 * s - 1.0)
             + 0.5 * riemann_zeta_prime(2.0 * s)
             + 0.5 * _LOG2PI * riemann_zeta(2.0 * s)
-            + _r2_weighted_sum(s))
+            + stirling_remainder_r2_sum(s))
 
 
 def eta_direct(s: float, n_terms: int = 4000) -> float:
     """Direct summation of eta(s), convergent for s > 1.
 
     The tail of sum log Gamma(n) n^{-2s} is completed with the Stirling
-    expansion against Hurwitz zeta values (log-weighted sums are Hurwitz
-    zeta s-derivatives); serves as an independent oracle for the
-    continued representation at s > 1.
+    expansion against Hurwitz zeta values (the log-weighted sum
+    sum_{n >= a} log(n) n^{-x} is -hurwitz_zeta_prime(x, a)); serves as an
+    independent oracle for the continued representation at s > 1.
     """
     if s <= 1.0:
         raise ValueError("direct eta series converges only for s > 1")
@@ -284,18 +272,12 @@ def eta_direct(s: float, n_terms: int = 4000) -> float:
     for n in range(2, n_terms + 1):
         total += math.lgamma(n) * n ** (-2.0 * s)
     a = n_terms + 1.0
-    total += (_log_weighted_tail(2.0 * s - 1.0, a)
+    total += (-hurwitz_zeta_prime(2.0 * s - 1.0, a)
               - hurwitz_zeta(2.0 * s - 1.0, a)
-              - 0.5 * _log_weighted_tail(2.0 * s, a)
+              + 0.5 * hurwitz_zeta_prime(2.0 * s, a)
               + 0.5 * _LOG2PI * hurwitz_zeta(2.0 * s, a)
               + (1.0 / 12.0) * hurwitz_zeta(2.0 * s + 1.0, a))
     return total - (1.0 / 12.0) * riemann_zeta(2.0 * s + 1.0)
-
-
-def _log_weighted_tail(s: float, a: float) -> float:
-    """sum_{n >= a} log(n) n^{-s}, via the Hurwitz zeta s-derivative."""
-    from .special import hurwitz_zeta_prime
-    return -hurwitz_zeta_prime(s, a)
 
 
 def eta_at_zero() -> float:
@@ -396,20 +378,10 @@ def zeta_tail_block_from_components(m: int):
             -comp.A0_prime + comp.BP_limit + comp.F0_prime)
 
 
-def low_order_weights(m: int):
-    """Canonical low orders 0 <= nu <= m with their spectral weights."""
-    if m % 2 == 0:
-        out = [(nu, 2) for nu in range(0, m // 2)]
-        out.append((m // 2, 1))
-    else:
-        out = [(nu, 2) for nu in range(0, (m - 1) // 2 + 1)]
-    return out
-
-
 def low_order_sequence_values(m: int, route: str = "closed"):
     """[(nu, weight, zeta_nu(0) exact, zeta_nu'(0))] over the low orders."""
     out = []
-    for nu, weight in low_order_weights(m):
+    for nu, weight in besselx.canonical_orders(m, m // 2 + 1):
         z0, z0p = _sequence_values(nu, m, route)
         out.append((nu, weight, Fraction(-(m + 2), 2), z0, z0p))
     return out
@@ -497,7 +469,7 @@ def _j0_sequence_values(route: str):
         return -0.25, -0.5 * _LOG2PI
     if route == "numeric":
         prof = fit_asymptotic_profile(
-            lambda z: -(_i0_log(z)), 60.0, 600.0, n_nodes=160)
+            lambda z: -bessel_i_log(0, z)[0], 60.0, 600.0, n_nodes=160)
         return zeta_from_profile(prof)
     raise ValueError(route)
 
@@ -508,20 +480,10 @@ def _j0p_sequence_values(route: str):
         return -0.75, 0.5 * _LOG2 - 0.5 * _LOGPI
     if route == "numeric":
         prof = fit_asymptotic_profile(
-            lambda z: -(_i1_log(z) + _LOG2 - math.log(z)), 60.0, 600.0,
+            lambda z: -(bessel_i_log(1, z)[0] + _LOG2 - math.log(z)), 60.0, 600.0,
             n_nodes=160)
         return zeta_from_profile(prof)
     raise ValueError(route)
-
-
-def _i0_log(z: float) -> float:
-    from .special import bessel_i_log
-    return bessel_i_log(0, z)[0]
-
-
-def _i1_log(z: float) -> float:
-    from .special import bessel_i_log
-    return bessel_i_log(1, z)[0]
 
 
 def dirichlet_neumann_block(route: str = "closed") -> DirichletNeumannBlock:
@@ -616,20 +578,25 @@ def _order_tail_over_n(values_by_n: dict, s: float, n_from: int) -> float:
             + coef[2] * hurwitz_zeta(2.0 * s + 1.0, a))
 
 
-def spectral_zeta_direct(m: int, s: float, n_family: int = 14, K: int = 60) -> float:
-    """zeta(s) = 4^s z_m(s) from certified zeros plus k- and n-tails, s > 1."""
-    if s <= 1.0:
-        raise ValueError("direct spectral sum needs s > 1")
+def _spectral_sum(m: int, s: float, n_family: int, order_zeta) -> float:
+    """4^s z_m(s) from the per-order values ``order_zeta(nu)``: the low
+    orders with their weights, then 2 * sum over the family orders
+    nu = m+1 .. m+n_family, then the n-tail fitted to the last eight."""
     total = 0.0
-    for nu, weight in low_order_weights(m):
-        total += weight * _order_zeta_direct(nu, m, s, K)
-    fam_vals = {}
-    for n in range(1, n_family + 1):
-        fam_vals[n] = _order_zeta_direct(n + m, m, s, K)
+    for nu, weight in besselx.canonical_orders(m, m // 2 + 1):
+        total += weight * order_zeta(nu)
+    fam_vals = {n: order_zeta(n + m) for n in range(1, n_family + 1)}
     total += 2.0 * sum(fam_vals.values())
     fit_tail = {n: fam_vals[n] for n in range(max(1, n_family - 7), n_family + 1)}
     total += 2.0 * _order_tail_over_n(fit_tail, s, n_family)
     return 4.0 ** s * total
+
+
+def spectral_zeta_direct(m: int, s: float, n_family: int = 14, K: int = 60) -> float:
+    """zeta(s) = 4^s z_m(s) from certified zeros plus k- and n-tails, s > 1."""
+    if s <= 1.0:
+        raise ValueError("direct spectral sum needs s > 1")
+    return _spectral_sum(m, s, n_family, lambda nu: _order_zeta_direct(nu, m, s, K))
 
 
 def spectral_zeta_contour(m: int, s: float, n_family: int = 14,
@@ -637,19 +604,6 @@ def spectral_zeta_contour(m: int, s: float, n_family: int = 14,
     """Same object with every per-order value from the contour integral."""
     if s <= 1.0:
         raise ValueError("needs s > 1")
-    total = 0.0
-    for nu, weight in low_order_weights(m):
-        val = mellin_contour_zeta(
-            logp_nodes_for_order(nu, m),
-            contour_for_order(nu, m, truncation_radius), s, unwrap=True)
-        total += weight * val
-    fam_vals = {}
-    for n in range(1, n_family + 1):
-        nu = n + m
-        fam_vals[n] = mellin_contour_zeta(
-            logp_nodes_for_order(nu, m),
-            contour_for_order(nu, m, truncation_radius), s, unwrap=True)
-    total += 2.0 * sum(fam_vals.values())
-    fit_tail = {n: fam_vals[n] for n in range(max(1, n_family - 7), n_family + 1)}
-    total += 2.0 * _order_tail_over_n(fit_tail, s, n_family)
-    return 4.0 ** s * total
+    return _spectral_sum(m, s, n_family, lambda nu: mellin_contour_zeta(
+        logp_nodes_for_order(nu, m), contour_for_order(nu, m, truncation_radius),
+        s, unwrap=True))

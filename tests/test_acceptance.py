@@ -161,10 +161,10 @@ def test_criterion_6_regularization_engine():
 def test_criterion_7_constant_blocks():
     errs = {}
     errs["eta0"] = abs(zetareg._eta_zero_richardson() - zetareg.eta_at_zero())
-    from zetacan.special import stirling_remainder_r2_total
+    from zetacan.special import stirling_remainder_r2_sum
 
     r2_target = (2.0 * ZP1 - 1.0 / 12.0 - EULER_GAMMA / 12.0 + 0.25 * LOG2PI)
-    errs["sum_R2"] = abs(stirling_remainder_r2_total() - r2_target)
+    errs["sum_R2"] = abs(stirling_remainder_r2_sum(0.0) - r2_target)
     fn0, fn0p = zetareg.f_component_closed(3.0 / 8.0, -7.0 / 24.0)
     assert fn0 == pytest.approx(1.0 / 24.0, abs=1e-14)
     assert fn0p == pytest.approx((EULER_GAMMA - LOG2 - 3.5) / 12.0, abs=1e-14)

@@ -158,7 +158,7 @@ class TestZeroSequences:
 
     def test_certified_count(self):
         seq = bx.zeros(bx.CrossProductSpec(2, 1), 25)
-        assert seq.certified_count == 25
+        assert len(seq.zeros) == 25
         assert np.all(np.diff(seq.zeros) > 0)
         assert np.all(seq.zeros > 0)
 
@@ -258,14 +258,6 @@ class TestEigenNorm:
         assert 2.0 * (jb / ja) * norm == pytest.approx(rhs, rel=1e-9)
         assert lhs == pytest.approx(rhs, rel=1e-7)
 
-    def test_probe_object(self):
-        nu, m = 3, 1
-        lam = float(bx.zeros(bx.CrossProductSpec(nu, m), 1).zeros[0])
-        probe = bx.EigenfunctionProbe(nu, m, lam)
-        assert probe(0.5) == bx.eigenfunction_radial(nu, m, lam, 0.5)
-        norm = probe.squared_norm()
-        assert 0.0 < norm < math.inf
-
 
 class TestUniformG:
     @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -280,16 +272,3 @@ class TestUniformG:
         bound = 2.0 * errs[16] * 16 ** 2
         assert errs[32] * 32 ** 2 <= bound
         assert errs[64] * 64 ** 2 <= bound
-
-
-class TestExport:
-    def test_zeros_csv(self, tmp_path):
-        seqs = [bx.zeros(bx.CrossProductSpec(2, 1), 5)]
-        path = tmp_path / "zeros.csv"
-        bx.write_zeros_csv(path, seqs)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "m,n,k,lambda,multiplicity,residual"
-        assert len(lines) == 6
-        first = lines[1].split(",")
-        assert first[:3] == ["1", "2", "1"]
-        assert float(first[3]) == pytest.approx(seqs[0].zeros[0], rel=1e-15)

@@ -119,6 +119,21 @@ class TestExitCodes:
         assert cli.main(["zeta", "--m", "-2"]) == 2
 
 
+class TestImports:
+    @pytest.mark.parametrize("argv", [
+        ["zeta", "--m", "0"],
+        ["spectrum", "--m", "2", "--n-max", "2", "--k-max", "3"],
+    ])
+    def test_command_does_not_import_scipy(self, argv):
+        code = ("import sys; from zetacan.cli import main; rc = main(sys.argv[1:]); "
+                "sys.stderr.write(repr(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy'))); sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == "[]"
+
+
 class TestSerialization:
     def test_float_17_digits(self):
         assert cli.dumps({"x": 1.0 / 3.0}) == '{"x": 0.33333333333333331}'

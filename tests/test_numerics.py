@@ -94,51 +94,6 @@ class TestQuad:
                                                             abs=1e-10)
 
 
-def _mcmahon_j0_smooth(k: float) -> float:
-    beta = (k - 0.25) * math.pi
-    r = 1.0 / (8.0 * beta)
-    return beta + r * (1.0 + r * r * (-124.0 / 3.0 + r * r * 120928.0 / 15.0))
-
-
-def _mcmahon_j1_smooth(k: float) -> float:
-    # zeros of J_1 = zeros of J_0' (mu = 4 McMahon coefficients)
-    beta = (k + 0.25) * math.pi
-    return beta - 3.0 / (8.0 * beta) + 3.0 / (128.0 * beta ** 3) \
-        - 1179.0 / (5120.0 * beta ** 5)
-
-
-class TestEulerMaclaurin:
-    def test_basel_tail(self):
-        val, err = num.euler_maclaurin_tail(lambda k: k ** -2.0, 100)
-        exact = math.pi ** 2 / 6.0 - sum(k ** -2.0 for k in range(1, 101))
-        assert val == pytest.approx(exact, abs=1e-10)
-
-    def test_rayleigh_j0_tail(self):
-        # sum 1/j_{0,k}^2 = 1/4; the smooth continuation of k -> j_{0,k}
-        # comes from the McMahon expansion
-        from scipy.special import jn_zeros
-
-        zeros = jn_zeros(0, 50)
-        partial = float(np.sum(zeros ** -2.0))
-        val, _ = num.euler_maclaurin_tail(
-            lambda k: _mcmahon_j0_smooth(k) ** -2.0, 50)
-        assert partial + val == pytest.approx(0.25, abs=1e-9)
-
-    def test_rayleigh_j0prime_tail(self):
-        # sum 1/j'_{0,k}^2 = 1/8 (j'_{0,k} = j_{1,k})
-        from scipy.special import jnp_zeros
-
-        zeros = jnp_zeros(0, 50)
-        partial = float(np.sum(zeros ** -2.0))
-        val, _ = num.euler_maclaurin_tail(
-            lambda k: _mcmahon_j1_smooth(k) ** -2.0, 50)
-        assert partial + val == pytest.approx(0.125, abs=1e-8)
-
-    def test_divergence_guard(self):
-        with pytest.raises(num.QuadratureError):
-            num.euler_maclaurin_tail(lambda k: 1.0 / k, 50)
-
-
 class TestZeroTails:
     def test_j0_tail_quarter(self):
         from scipy.special import jn_zeros

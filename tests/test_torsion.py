@@ -22,29 +22,6 @@ class TestBaseIntegrals:
             4.0 * (1.0 - LOG2), abs=1e-10)
 
 
-class TestMetricModel:
-    def test_canonical_weight_continuous_with_kink(self):
-        can = tor.MetricModel("canonical", 3)
-        assert can.weight(1.0 - 1e-12) == pytest.approx(can.weight(1.0 + 1e-12),
-                                                        rel=1e-9)
-        # non-smooth across |z| = 1: one-sided slopes differ
-        h = 1e-6
-        left = (can.weight(1.0) - can.weight(1.0 - h)) / h
-        right = (can.weight(1.0 + h) - can.weight(1.0)) / h
-        assert abs(left - right) > 1.0
-
-    def test_fs_weight_smooth(self):
-        fs = tor.MetricModel("fubini_study", 3)
-        h = 1e-6
-        left = (fs.weight(1.0) - fs.weight(1.0 - h)) / h
-        right = (fs.weight(1.0 + h) - fs.weight(1.0)) / h
-        assert left == pytest.approx(right, abs=1e-4)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            tor.MetricModel("round", 1)
-
-
 class TestGram:
     @pytest.mark.parametrize("m,k,expected", [
         (1, 0, Fraction(3, 2)),
@@ -94,42 +71,6 @@ class TestBottChern:
 
     def test_difference_at_m2(self):
         assert tor.quillen_anomaly(2) == pytest.approx(13.0 / 3.0, abs=1e-13)
-
-    def test_transgression_properties(self):
-        mu_can = tor.c1_measure(tor.MetricModel("canonical", 1))
-        mu_fs = tor.c1_measure(tor.MetricModel("fubini_study", 1))
-        # identical metrics -> 0
-        zero = tor.bott_chern_transgression_deg0(lambda r: 0.0, mu_can, mu_fs)
-        assert sum(zero) == 0.0
-        # additivity in the metric chain h1 -> h -> h2
-        u = tor.metric_log_ratio
-        half = lambda r: 0.5 * u(r)
-        full = sum(tor.bott_chern_transgression_deg0(u, mu_can, mu_fs))
-        part1 = sum(tor.bott_chern_transgression_deg0(half, mu_can, mu_fs))
-        part2 = sum(tor.bott_chern_transgression_deg0(
-            lambda r: u(r) - half(r), mu_can, mu_fs))
-        assert full == pytest.approx(part1 + part2, abs=1e-10)
-        # k >= 3 contributions vanish on the projective line
-        parts = tor.bott_chern_transgression_deg0(u, mu_can, mu_fs, k_max=4)
-        assert parts[2:] == [0.0, 0.0]
-
-    def test_series_default_measures(self):
-        parts = tor.bott_chern_series(tor.metric_log_ratio, k_max=3)
-        assert len(parts) == 3
-        assert sum(parts) == pytest.approx(0.5, abs=1e-10)
-        assert parts[2] == 0.0
-
-    def test_transgression_consistent_with_ch_part(self):
-        # full ch~ pairing for O(1) against Td(TP^1_FS): the symmetric
-        # transgression (1/2)(J_can + J_fs) plus the Td (1,1)-part, which
-        # is c1(TP^1_FS)/2 = c1(O(2)_FS)/2, i.e. the full FS measure
-        mu_can = tor.c1_measure(tor.MetricModel("canonical", 1))
-        mu_fs = tor.c1_measure(tor.MetricModel("fubini_study", 1))
-        u = tor.metric_log_ratio
-        sym = sum(tor.bott_chern_transgression_deg0(u, mu_can, mu_fs))
-        td_part = mu_fs.integrate(u)
-        assert sym + td_part == pytest.approx(tor.bott_chern_ch_deg0(1),
-                                              abs=1e-9)
 
 
 class TestQuillen:

@@ -29,10 +29,10 @@ class TestSequenceValues:
         assert zr.zeta_from_profile(prof) == (-0.0, -0.0)
 
     def test_uncertified_profile_rejected(self):
-        from zetacan.numerics import AsymptoticProfile
+        from zetacan.numerics import AsymptoticProfile, FitError
 
         prof = AsymptoticProfile(d=0.0, a=1.0, b=1.0, fit_residual=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(FitError):
             zr.zeta_from_profile(prof)
 
     @pytest.mark.parametrize("nu,m", [(2, 1), (1, 2), (3, 2), (0, 3)])
