@@ -117,7 +117,7 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_torsion(args) -> int:
-    rep = torsion.torsion_g(args.m, quad_tol=args.quad_tol)
+    rep = torsion.torsion_g(args.m)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -198,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("torsion", help="generalized analytic torsion report")
     common(sp)
-    sp.add_argument("--quad-tol", type=_positive_float, default=1e-12)
     sp.set_defaults(func=cmd_torsion)
 
     sp = sub.add_parser("verify", help="run the invariant suite")

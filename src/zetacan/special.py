@@ -35,7 +35,6 @@ __all__ = [
     "hurwitz_zeta_prime",
     "riemann_zeta",
     "riemann_zeta_prime",
-    "log_glaisher",
     "bessel_j_orders",
     "bessel_j",
     "bessel_j_many",
@@ -100,20 +99,21 @@ def stirling_remainder_r2(n: float) -> float:
     )
 
 
-def stirling_remainder_r2_sum(s: float, n_direct: int = 150) -> float:
+def stirling_remainder_r2_sum(s: float) -> float:
     """sum_{n >= 1} R2(n) n^{-2s}.
 
-    Direct summation up to ``n_direct``; the tail uses the Stirling series
+    Direct summation up to n = 20, since past that the lgamma cancellation
+    in R2(n) adds more noise than value; the tail uses the Stirling series
     R2(n) = sum_{j>=2} B_{2j} / ((2j)(2j-1) n^{2j-1}) summed against Hurwitz
     zeta values.
     """
     total = 0.0
-    for n in range(1, n_direct + 1):
+    for n in range(1, 21):
         total += stirling_remainder_r2(float(n)) * n ** (-2.0 * s)
     for j in range(2, 7):
         b = float(_BERNOULLI[2 * j])
         total += b / ((2 * j) * (2 * j - 1)) * hurwitz_zeta(
-            2 * j - 1.0 + 2.0 * s, n_direct + 1.0)
+            2 * j - 1.0 + 2.0 * s, 21.0)
     return total
 
 
@@ -240,11 +240,6 @@ def riemann_zeta_prime(s: float) -> float:
                 + 0.5 * math.pi / math.tan(0.5 * math.pi * s)
                 - _digamma(1.0 - s) - d1 / z1)
     return val * logderiv
-
-
-def log_glaisher() -> float:
-    """log of the Glaisher-Kinkelin constant, log A = 1/12 - zeta'(-1)."""
-    return 1.0 / 12.0 - riemann_zeta_prime(-1.0)
 
 
 # ----------------------------------------------------------------------

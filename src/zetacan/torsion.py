@@ -11,10 +11,11 @@ Both metrics in play are rotation invariant: the Fubini-Study metric
 Every P^1 integral radializes; the canonical side reduces to a circle
 average on |z| = 1 (the first Chern current of the canonical metric is
 the uniform measure there) and the smooth side to one-dimensional
-integrals split at the kink r = 1.  The metrics enter only through these
-radial weights, written directly into the integrands of ``gram_entry``,
-``base_integral_circle`` and ``base_integral_fs``.  Two base integrals
-carry the whole anomaly computation:
+integrals split at the kink r = 1, the piece on [1, inf) mapped onto [0, 1]
+by r = 1/t, so that every integrand is smooth on [0, 1].  The metrics enter
+only through these radial weights, written directly into the integrands of
+``gram_entry``, ``base_integral_circle`` and ``base_integral_fs``.  Two base
+integrals carry the whole anomaly computation:
 
     J_can = circle average of u           = log 2,
     J_fs  = int_0^inf u(r) dmu_FS         = 1 - log 2,
@@ -41,6 +42,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .numerics import adaptive_quad
 from .special import log_gamma, riemann_zeta_prime
 
@@ -51,7 +54,6 @@ __all__ = [
     "base_integral_fs",
     "gram_entry",
     "gram_entry_closed",
-    "gram_det",
     "gram_det_closed",
     "bott_chern_ch_deg0",
     "bott_chern_td_deg0",
@@ -61,41 +63,38 @@ __all__ = [
 ]
 
 
-def metric_log_ratio(r: float) -> float:
+def metric_log_ratio(r):
     """u(r) = -log(h_FS / h_can) per O(1) = log((1+r^2)/max(1, r^2)) >= 0."""
-    return math.log1p(r * r) - math.log(max(1.0, r * r))
+    return np.log1p(r * r) - np.log(np.maximum(1.0, r * r))
 
 
-def base_integral_circle(tol: float = 1e-12) -> float:
+def base_integral_circle() -> float:
     """(1/2 pi) int_0^{2 pi} u(e^{i theta}) d theta; equals log 2."""
-    return adaptive_quad(lambda t: metric_log_ratio(1.0) / (2.0 * math.pi),
-                         0.0, 2.0 * math.pi, tol=tol)
+    u = lambda theta: metric_log_ratio(np.ones_like(theta)) / (2.0 * math.pi)
+    return adaptive_quad(u, 0.0, 2.0 * math.pi)
 
 
-def base_integral_fs(tol: float = 1e-12) -> float:
-    """int_0^inf log((1+w)/max(1,w)) dw/(1+w)^2; equals 1 - log 2."""
-    f = lambda w: (math.log1p(w) - math.log(max(1.0, w))) / (1.0 + w) ** 2
-    return (adaptive_quad(f, 0.0, 1.0, tol=tol)
-            + adaptive_quad(f, 1.0, math.inf, tol=tol))
+def base_integral_fs() -> float:
+    """int_0^inf log((1+w)/max(1,w)) dw/(1+w)^2 = 1 - log 2; w = 1/t maps
+    its piece on [1, inf) onto its piece on [0, 1]."""
+    return 2.0 * adaptive_quad(lambda t: np.log1p(t) / (1.0 + t) ** 2, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------
 # Gram matrix of the monomial sections
 # ----------------------------------------------------------------------
 
-def gram_entry(m: int, k: int, tol: float = 1e-12) -> float:
+def gram_entry(m: int, k: int) -> float:
     """(z^k, z^k) under the canonical data, by quadrature.
 
-    Radializes to int_0^inf r^k / max(1,r)^{m+2} dr, split at the kink.
+    |z^k|^2 h_can against omega_can radializes to
+    int_0^inf 2 r^{2k+1} max(1,r)^{-2m} dr / max(1,r^4), split at the kink;
+    r = 1/t turns the upper piece into int_0^1 2 t^{2(m-k)+1} dt.
     """
     if not (0 <= k <= m):
         raise ValueError("require 0 <= k <= m")
-    # |z^k|^2 h_can(r) against omega_can, radialized:
-    # r^{2k} max(1,r)^{-2m} * 2r dr / max(1,r^4)
-    g = lambda r: (2.0 * r ** (2 * k + 1) * max(1.0, r) ** (-2 * m)
-                   * (1.0 / max(1.0, r ** 4)))
-    return (adaptive_quad(g, 0.0, 1.0, tol=tol)
-            + adaptive_quad(g, 1.0, math.inf, tol=tol))
+    return (adaptive_quad(lambda r: 2.0 * r ** (2 * k + 1), 0.0, 1.0)
+            + adaptive_quad(lambda t: 2.0 * t ** (2 * (m - k) + 1), 0.0, 1.0))
 
 
 def gram_entry_closed(m: int, k: int) -> Fraction:
@@ -105,55 +104,43 @@ def gram_entry_closed(m: int, k: int) -> Fraction:
     return Fraction(m + 2, (k + 1) * (m + 1 - k))
 
 
-def gram_det(m: int, tol: float = 1e-12) -> float:
-    """Determinant of the (diagonal) Gram matrix, quadrature route."""
-    out = 1.0
-    for k in range(m + 1):
-        out *= gram_entry(m, k, tol=tol)
-    return out
-
-
 def gram_det_closed(m: int) -> Fraction:
-    """(m+2)^{m+1} / ((m+1)!)^2, exact."""
-    out = Fraction(1)
-    for k in range(m + 1):
-        out *= gram_entry_closed(m, k)
-    assert out == Fraction((m + 2) ** (m + 1), math.factorial(m + 1) ** 2)
-    return out
+    """(m+2)^{m+1} / ((m+1)!)^2 = prod_k gram_entry_closed(m, k), exact."""
+    return Fraction((m + 2) ** (m + 1), math.factorial(m + 1) ** 2)
 
 
 # ----------------------------------------------------------------------
 # Bott-Chern degree-zero pairings
 # ----------------------------------------------------------------------
 
-def bott_chern_ch_deg0(m: int, route: str = "closed", tol: float = 1e-11) -> float:
+def bott_chern_ch_deg0(m: int, route: str = "closed") -> float:
     """Degree-0 part of int ch~(O(m), h_FS, h_can) Td(TP^1_FS).
 
     Equals (m^2/2)(J_can + J_fs) + m J_fs = m^2/2 + (1 - log 2) m.
     """
     if route == "closed":
         return 0.5 * m * m + (1.0 - math.log(2.0)) * m
-    j_can = base_integral_circle(tol)
-    j_fs = base_integral_fs(tol)
+    j_can = base_integral_circle()
+    j_fs = base_integral_fs()
     return 0.5 * m * m * (j_can + j_fs) + m * j_fs
 
 
-def bott_chern_td_deg0(m: int, route: str = "closed", tol: float = 1e-11) -> float:
+def bott_chern_td_deg0(m: int, route: str = "closed") -> float:
     """Degree-0 part of int ch(O(m)_can) Td~(TP^1, h_FS, h_can).
 
     Equals (1/3)(J_can + J_fs) + m J_can = 1/3 + m log 2.
     """
     if route == "closed":
         return 1.0 / 3.0 + m * math.log(2.0)
-    j_can = base_integral_circle(tol)
-    j_fs = base_integral_fs(tol)
+    j_can = base_integral_circle()
+    j_fs = base_integral_fs()
     return (j_can + j_fs) / 3.0 + m * j_can
 
 
-def quillen_anomaly(m: int, route: str = "closed", tol: float = 1e-11) -> float:
+def quillen_anomaly(m: int, route: str = "closed") -> float:
     """log h_Q(canonical data) - log h_Q(Fubini-Study data)
     = ch-part + td-part = m^2/2 + m + 1/3."""
-    return bott_chern_ch_deg0(m, route, tol) + bott_chern_td_deg0(m, route, tol)
+    return bott_chern_ch_deg0(m, route) + bott_chern_td_deg0(m, route)
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +156,9 @@ def quillen_fs_log(m: int) -> float:
     return 0.5 * m * m + m + 0.5 - 4.0 * riemann_zeta_prime(-1.0)
 
 
-def quillen_canonical_log(m: int, route: str = "closed", tol: float = 1e-11) -> float:
+def quillen_canonical_log(m: int, route: str = "closed") -> float:
     """-log h_Q for the canonical data; equals 1/6 - 4 zeta'(-1), m-free."""
-    return quillen_fs_log(m) - quillen_anomaly(m, route, tol)
+    return quillen_fs_log(m) - quillen_anomaly(m, route)
 
 
 @dataclass
@@ -204,22 +191,22 @@ class TorsionReport:
         }
 
 
-def torsion_g(m: int, quad_tol: float = 1e-12) -> TorsionReport:
+def torsion_g(m: int) -> TorsionReport:
     """Generalized analytic torsion of the canonical data on O(m).
 
     T_g = -(1/6 - 4 zeta'(-1)) - log gram_det, reported both from closed
-    forms and with the anomaly and Gram integrals quadratured at
-    ``quad_tol``; the report also carries zeta'(0) from the spectral route
-    and the pipeline discrepancy T_g - zeta'(0) (the headline identity,
-    numerically 0).
+    forms and with the anomaly and Gram integrals by quadrature (log gram_det
+    as a sum of logs, since the product underflows from m ~ 213); the report
+    also carries zeta'(0) from the spectral route and the pipeline
+    discrepancy T_g - zeta'(0) (the headline identity, numerically 0).
     """
     if m < 0:
         raise ValueError("m must be >= 0")
     entries = [float(gram_entry_closed(m, k)) for k in range(m + 1)]
     logdet_closed = (m + 1) * math.log(m + 2.0) - 2.0 * log_gamma(m + 2.0)
     tg_closed = -quillen_canonical_log(m, "closed") - logdet_closed
-    tg_quad = (-quillen_canonical_log(m, "quadrature", tol=quad_tol)
-               - math.log(gram_det(m, tol=quad_tol)))
+    tg_quad = (-quillen_canonical_log(m, "quadrature")
+               - math.fsum(math.log(gram_entry(m, k)) for k in range(m + 1)))
     from .zetareg import zeta_canonical_closed_form
 
     _, zeta0_prime = zeta_canonical_closed_form(m)

@@ -318,10 +318,8 @@ def f_component_closed(alpha: float, beta: float):
 
 def f_component_semiclosed(alpha: float, beta: float, s: float) -> float:
     """F(s) away from 0 from the same closed s-expression."""
-    from scipy.special import gamma as _gamma
-
     szeta = 0.5 if s == 0.0 else s * riemann_zeta(2.0 * s + 1.0)
-    return (szeta * _gamma(s + 0.5) / (math.sqrt(math.pi) * _gamma(s + 1.0))
+    return (szeta * math.gamma(s + 0.5) / (math.sqrt(math.pi) * math.gamma(s + 1.0))
             * (alpha + 2.0 * beta * (s + 0.5)))
 
 

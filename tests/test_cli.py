@@ -123,6 +123,8 @@ class TestImports:
     @pytest.mark.parametrize("argv", [
         ["zeta", "--m", "0"],
         ["spectrum", "--m", "2", "--n-max", "2", "--k-max", "3"],
+        ["torsion", "--m", "6"],
+        ["verify", "--suite", "all"],
     ])
     def test_command_does_not_import_scipy(self, argv):
         code = ("import sys; from zetacan.cli import main; rc = main(sys.argv[1:]); "

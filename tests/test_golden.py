@@ -5,9 +5,10 @@ cross-checks) and torsion reports, and the verify verdicts.
 ("configuration error", "numerical failure") of ``zeta --m M
 --check-routes profile,contour`` and ``torsion --m M`` for M in
 {0, 1, 6, 17, 24, 40, 58, 59}, captured from the CLI before the J kernel
-and zero solvers were rewritten.  The known failures (profile not certified
-from M = 24, torsion overflow at M = 59) must keep failing the same way,
-and every reported value must stay where it was.
+and zero solvers were rewritten.  The known failure (profile not certified
+from M = 24) must keep failing the same way, and every reported value must
+stay where it was.  ``torsion --m 59`` overflowed until the torsion
+integrals moved onto [0, 1]; its entry holds the report it prints since.
 
 ``golden/spectrum_m{M}.{csv,json}`` hold the exact stdout of ``spectrum --m M
 --n-max 6 --k-max 8`` for M in {0, 1, 2, 17, 30}, compared byte for byte.

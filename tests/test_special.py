@@ -37,7 +37,7 @@ class TestGamma:
     def test_r2_total_closed_decomposition(self):
         target = (2.0 * sp.riemann_zeta_prime(-1.0) - 1.0 / 12.0
                   - sp.EULER_GAMMA / 12.0 + 0.25 * LOG_2PI)
-        assert sp.stirling_remainder_r2_sum(0.0) == pytest.approx(target, abs=1e-11)
+        assert sp.stirling_remainder_r2_sum(0.0) == pytest.approx(target, abs=1e-14)
 
 
 class TestZeta:
@@ -52,7 +52,6 @@ class TestZeta:
         # independent high-precision evaluation
         assert sp.riemann_zeta_prime(-1.0) == pytest.approx(
             -0.16542114370045092921, abs=1e-13)
-        assert sp.log_glaisher() == pytest.approx(0.24875447703378426, abs=1e-13)
 
     def test_digamma_against_scipy(self):
         # relative error <= 1e-14, measured against max(|psi|, 0.1) so that

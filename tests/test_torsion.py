@@ -1,8 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from zetacan import cli
 from zetacan import torsion as tor
 from zetacan.special import riemann_zeta_prime
 
@@ -47,10 +49,12 @@ class TestGram:
     def test_det_closed(self, m, expected):
         assert tor.gram_det_closed(m) == expected
 
-    def test_det_quadrature(self):
-        for m in (0, 2, 4):
-            assert tor.gram_det(m) == pytest.approx(
-                float(tor.gram_det_closed(m)), rel=1e-10)
+    @pytest.mark.parametrize("m", [0, 5, 59, 200])
+    def test_det_closed_is_product_of_entries(self, m):
+        prod = Fraction(1)
+        for k in range(m + 1):
+            prod *= tor.gram_entry_closed(m, k)
+        assert tor.gram_det_closed(m) == prod
 
 
 class TestBottChern:
@@ -103,6 +107,16 @@ class TestTorsion:
         rep = tor.torsion_g(m)
         assert abs(rep.discrepancy) <= 1e-10
         assert abs(rep.Tg_quadrature - rep.Tg) <= 1e-8
+
+    @pytest.mark.parametrize("m", [59, 64, 128, 200])
+    def test_cli_full_range(self, m, capsys):
+        # the Gram integrals on [0, 1] are polynomials: no overflow at any m,
+        # and log det is a sum of logs, so no underflow either
+        assert cli.main(["torsion", "--m", str(m)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["gram_entries"] == [float(tor.gram_entry_closed(m, k))
+                                       for k in range(m + 1)]
+        assert abs(doc["Tg_quadrature"] - doc["Tg"]) <= 1e-10
 
     def test_report_fields(self):
         rep = tor.torsion_g(2)
