@@ -44,11 +44,9 @@ __all__ = [
     "cross_L_prime",
     "cross_G_log",
     "cross_G_norm_log",
-    "cross_G_uniform_log",
     "small_z_exponent",
     "small_z_coefficient",
     "zeros",
-    "taylor_sum_rule",
     "taylor_sum_rule_exact",
     "canonical_orders",
     "spectrum",
@@ -271,37 +269,6 @@ def cross_G_norm_log(n: int, m: int, x: float) -> float:
     return cross_G_log(n, m, x)[0] - math.log(float(l)) - e * math.log(x)
 
 
-def cross_G_uniform_log(n: int, m: int, z: float, include_w: bool = True) -> float:
-    """Uniform large-order value of log G_{n+m}(n z), n the family index.
-
-    log of  e^{(2n+m+1) eta(z) - (m+1) z eta'(z)} / (2 pi n sqrt(1+z^2))
-            * (1 + e^{-2(eta - z eta')}) * (1 + w_m(p)/n);
-
-    the 1/n^2 remainder is bounded uniformly in z.  (Combining the Debye
-    expansions of the four factors gives the prefactor above; the shape
-    e^{(2n+m-1) eta} (e^{2(eta - z eta')} + 1) sometimes quoted for it is
-    the m = 1 specialization, off by e^{(m-1) z eta'} otherwise.  The
-    z eta' factor carries no log z or constant term at infinity, so the
-    profile coefficients downstream are insensitive to the difference.)
-    """
-    from .special import eta_debye, eta_debye_minus_z_eta_prime, uniform_w_poly
-
-    if n < 1 or z <= 0.0:
-        raise ValueError("require family index n >= 1 and z > 0")
-    t = eta_debye_minus_z_eta_prime(z)  # log(z / (1 + sqrt(1+z^2))) < 0
-    z_eta_prime = math.sqrt(1.0 + z * z)
-    out = ((2.0 * n + m + 1.0) * eta_debye(z) - (m + 1.0) * z_eta_prime
-           - math.log(2.0 * math.pi * n) - 0.5 * math.log1p(z * z))
-    if -2.0 * t > 30.0:
-        out += -2.0 * t + math.log1p(math.exp(2.0 * t))
-    else:
-        out += math.log1p(math.exp(-2.0 * t))
-    if include_w:
-        p = 1.0 / math.sqrt(1.0 + z * z)
-        out += math.log1p(uniform_w_poly(m, p) / n)
-    return out
-
-
 # ----------------------------------------------------------------------
 # Zero sequences of L_n
 # ----------------------------------------------------------------------
@@ -328,7 +295,7 @@ def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
     return rows, lo, hi, a[rows, cols] < 0.0
 
 
-def zeros(spec: CrossProductSpec, K: int, tol: float = 1e-12) -> SpectralSequence:
+def zeros(spec: CrossProductSpec, K: int) -> SpectralSequence:
     """First K positive zeros of L_n, certified by interlacing brackets.
 
     The factorized cases (m = 0, where L_n = -2 J_n J_n', and the middle
@@ -375,7 +342,7 @@ def zeros(spec: CrossProductSpec, K: int, tol: float = 1e-12) -> SpectralSequenc
         lam = lo.copy()  # a probe that landed on a zero is that zero
         solve = lo < hi
         lam[solve] = newton_brackets(lambda x, _: _cross_L_pair(nu, m, x), lo[solve],
-                                     hi[solve], rising[solve], tol=tol)
+                                     hi[solve], rising[solve], tol=1e-12)
         lam = np.sort(lam)[:K]
 
     ext = np.concatenate([[lam[0] * 0.5], lam, [lam[-1] + (lam[-1] - lam[-2] if len(lam) > 1 else 1.0)]])
@@ -434,10 +401,6 @@ def taylor_sum_rule_exact(spec: CrossProductSpec, power: int = 2) -> Fraction:
     return e1 * e1 - 2 * e2
 
 
-def taylor_sum_rule(spec: CrossProductSpec, power: int = 2) -> float:
-    return float(taylor_sum_rule_exact(spec, power))
-
-
 # ----------------------------------------------------------------------
 # Spectrum assembly
 # ----------------------------------------------------------------------
@@ -464,15 +427,15 @@ def canonical_orders(m: int, count: int):
     return out[:count]
 
 
-def spectrum(m: int, n_orders: int, K: int, tol: float = 1e-12) -> Spectrum:
+def spectrum(m: int, n_orders: int, K: int) -> Spectrum:
     """Eigenvalues lambda^2/4 from the first ``n_orders`` canonical orders,
-    K zeros each (root tolerance ``tol``), sorted ascending with
-    multiplicities; the sort is stable, so ties keep order-then-k order."""
+    K zeros each, sorted ascending with multiplicities; the sort is stable,
+    so ties keep order-then-k order."""
     if m < 0 or n_orders < 1 or K < 1:
         raise ValueError("require m >= 0 and n_orders, K >= 1")
     entries = []
     for nu, mult in canonical_orders(m, n_orders):
-        seq = zeros(CrossProductSpec(nu, m), K, tol=tol)
+        seq = zeros(CrossProductSpec(nu, m), K)
         for k, lam in enumerate(seq.zeros, start=1):
             entries.append(SpectrumEntry(
                 eigenvalue=float(lam) ** 2 / 4.0, multiplicity=mult,

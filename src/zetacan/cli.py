@@ -69,7 +69,7 @@ def _emit(text: str, path):
 # ----------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    spectrum = besselx.spectrum(args.m, args.n_max, args.k_max, tol=args.root_tol)
+    spectrum = besselx.spectrum(args.m, args.n_max, args.k_max)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -158,13 +158,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError("must be > 0")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="zetacan",
@@ -185,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="number of canonical orders")
     sp.add_argument("--k-max", type=_positive_int, default=50,
                     help="zeros per order")
-    sp.add_argument("--root-tol", type=_positive_float, default=1e-12)
     sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("zeta", help="regularized zeta report")
@@ -219,7 +211,7 @@ def main(argv=None) -> int:
     except (BracketError, QuadratureError, FitError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: an unwritable --out path
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

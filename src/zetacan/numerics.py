@@ -21,7 +21,9 @@ scipy's Brent method and is the one part that needs scipy.  The rest:
   obtained from the heat-kernel double integral by carrying out the
   t-integration in closed form.  Subtracting the ray-side asymptotics of
   ``log p`` term by term continues the representation through s = 0 and
-  yields zeta(0) and zeta'(0) directly.
+  yields zeta(0) and zeta'(0) directly.  ``ContourSpec`` fixes the
+  half-angle pi/8 and the panel layout; callers choose the vertex c and
+  the truncation radius.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ class AsymptoticProfile:
     c2: float = 0.0
     fit_residual: float = 0.0
 
-    def certified(self, threshold: float = 1e-8) -> bool:
-        return self.fit_residual <= threshold
+    def certified(self) -> bool:
+        return self.fit_residual <= 1e-8
 
 
 def _profile_basis(z: np.ndarray, inverse_degree: int) -> np.ndarray:
@@ -178,15 +180,15 @@ def _profile_basis(z: np.ndarray, inverse_degree: int) -> np.ndarray:
 
 
 def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
-                           n_nodes: int = 200, inverse_degree: int = 4,
-                           residual_threshold: float | None = None) -> AsymptoticProfile:
+                           n_nodes: int = 200,
+                           inverse_degree: int = 4) -> AsymptoticProfile:
     """Least-squares fit of g(z) against {z, log z^2, 1, 1/z, ..., z^-deg}.
 
     g is evaluated on a log-spaced grid of the window.  The basis carries
     inverse powers beyond the reported c1/c2 so that the O(1/z^3) model
     error of typical Bessel log-products does not bias the constant term.
-    The max-abs residual over the grid is stored on the profile; if
-    ``residual_threshold`` is given, a FitError is raised when exceeded.
+    The max-abs residual over the grid is stored on the profile, whose
+    ``certified()`` judges it.
     """
     if not (0.0 < z_min < z_max):
         raise ValueError("require 0 < z_min < z_max")
@@ -197,14 +199,11 @@ def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
     coef, *_ = np.linalg.lstsq(basis / scale, vals, rcond=None)
     coef = coef / scale
     resid = float(np.max(np.abs(basis @ coef - vals)))
-    prof = AsymptoticProfile(
+    return AsymptoticProfile(
         d=float(coef[0]), a=float(coef[1]), b=float(coef[2]),
         c1=float(coef[3]) if inverse_degree >= 1 else 0.0,
         c2=float(coef[4]) if inverse_degree >= 2 else 0.0,
         fit_residual=resid)
-    if residual_threshold is not None and resid > residual_threshold:
-        raise FitError(f"profile fit residual {resid:.2e} > {residual_threshold:.1e}")
-    return prof
 
 
 def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
@@ -240,6 +239,8 @@ def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
 # ----------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = _leggauss(16)
+# direction of the upper ray of Lambda_c, arg(z - c) = pi/8
+_PHASE = complex(math.cos(math.pi / 8.0), math.sin(math.pi / 8.0))
 
 
 @dataclass
@@ -248,31 +249,26 @@ class ContourSpec:
 
     ``c`` must lie strictly between 0 and the smallest zero of the target
     product.  ``truncation_radius`` is where numeric panels stop and the
-    fitted asymptotic tail takes over; ``nodes_per_unit`` controls the
-    panel density near the vertex.
+    fitted asymptotic tail takes over.
     """
     c: float
-    half_angle: float = math.pi / 8.0
-    truncation_radius: float = 400.0
-    nodes_per_unit: int = 2
+    truncation_radius: float
 
     def __post_init__(self):
         if not (self.c > 0.0):
             raise ValueError("contour vertex c must be positive")
-        if abs(self.half_angle - math.pi / 8.0) > 1e-15:
-            raise ValueError("the representation requires half_angle = pi/8")
         if self.truncation_radius <= 1.0:
             raise ValueError("truncation radius too small")
 
     def panels(self) -> np.ndarray:
         """Panel edges in arc length r along one ray.
 
-        Geometric growth capped at length 4 so that the phase increment of
-        a log-product between adjacent Gauss nodes stays well below pi,
-        which the branch unwrapping relies on.
+        Geometric growth from length 0.5 at the vertex, capped at length 4
+        so that the phase increment of a log-product between adjacent Gauss
+        nodes stays well below pi, which the branch unwrapping relies on.
         """
         edges = [0.0]
-        step = 1.0 / max(self.nodes_per_unit, 1)
+        step = 0.5
         r = 0.0
         while r < self.truncation_radius:
             r = min(r + step, self.truncation_radius)
@@ -290,17 +286,14 @@ class ContourSpec:
             ws.append(half * _GL_WEIGHTS)
         r = np.concatenate(rs)
         w = np.concatenate(ws)
-        phase = complex(math.cos(self.half_angle), math.sin(self.half_angle))
-        return self.c + r * phase, w * phase, r
+        return self.c + r * _PHASE, w * _PHASE, r
 
 
-def _eval_logp(logp_nodes, z: np.ndarray, unwrap: bool) -> np.ndarray:
+def _eval_logp(logp_nodes, z: np.ndarray) -> np.ndarray:
     vals = np.asarray(logp_nodes(z), dtype=np.complex128)
-    if unwrap:
-        im = np.unwrap(vals.imag)
-        im -= 2.0 * math.pi * round(im[0] / (2.0 * math.pi))
-        vals = vals.real + 1j * im
-    return vals
+    im = np.unwrap(vals.imag)
+    im -= 2.0 * math.pi * round(im[0] / (2.0 * math.pi))
+    return vals.real + 1j * im
 
 
 def _ray_tail_integrals(z_r: complex, s: float) -> dict:
@@ -338,15 +331,14 @@ def _fit_ray_asymptotics(z: np.ndarray, vals: np.ndarray, r: np.ndarray,
     return coef, resid
 
 
-def mellin_contour_zeta(logp_nodes, contour: ContourSpec, s: float,
-                        unwrap: bool = False) -> float:
+def mellin_contour_zeta(logp_nodes, contour: ContourSpec, s: float) -> float:
     """Spectral zeta value sum_k lambda_k^{-2s} from the contour representation.
 
     ``logp_nodes`` maps an array of points on the upper ray of Lambda_c to
     the analytic continuation of log p there (p the normalized zero
-    product, real and positive at the vertex).  With ``unwrap=True`` the
-    imaginary part is made continuous along the ray, which lets callers
-    pass a principal-branch evaluation of a product.
+    product, real and positive at the vertex); its imaginary part is made
+    continuous along the ray, so callers may pass a principal-branch
+    evaluation of a product.
 
     Valid for s > 1/2, s != 1 (the s-integration has been carried out in
     closed form; the tail beyond the truncation radius uses ray-side
@@ -355,12 +347,11 @@ def mellin_contour_zeta(logp_nodes, contour: ContourSpec, s: float,
     if s <= 0.5:
         raise ValueError("contour representation needs s > 1/2")
     z, w, r = contour.ray_nodes()
-    vals = _eval_logp(logp_nodes, z, unwrap)
+    vals = _eval_logp(logp_nodes, z)
     integrand = vals * z ** (-2.0 * s - 1.0)
     i_num = np.sum(w * integrand)
     coef, resid = _fit_ray_asymptotics(z, vals, r, 0.6 * contour.truncation_radius)
-    z_r = contour.c + contour.truncation_radius * complex(
-        math.cos(contour.half_angle), math.sin(contour.half_angle))
+    z_r = contour.c + contour.truncation_radius * _PHASE
     tails = _ray_tail_integrals(z_r, s)
     i_tail = (coef[0] * tails["z"] + coef[1] * tails["logz2"]
               + coef[2] * tails["one"] + coef[3] * tails["invz"]
@@ -369,8 +360,7 @@ def mellin_contour_zeta(logp_nodes, contour: ContourSpec, s: float,
 
 
 def mellin_zeta_critical_values(logp_nodes, contour: ContourSpec,
-                                profile: AsymptoticProfile,
-                                unwrap: bool = False):
+                                profile: AsymptoticProfile):
     """(zeta(0), zeta'(0)) by analytic continuation of the contour integral.
 
     ``profile`` holds the real-ray coefficients of -log G, G the rotated
@@ -385,7 +375,7 @@ def mellin_zeta_critical_values(logp_nodes, contour: ContourSpec,
         zeta'(0) = 2 d c / pi + 2 a log c + 2 c1 / (pi c) - (2/pi) Im int q(z) dz / z.
     """
     z, w, r = contour.ray_nodes()
-    vals = _eval_logp(logp_nodes, z, unwrap)
+    vals = _eval_logp(logp_nodes, z)
     phi = (1j * profile.d * z - profile.a * np.log(z * z)
            + (1j * math.pi * profile.a - profile.b)
            - 1j * profile.c1 / z + profile.c2 / z ** 2)
@@ -397,8 +387,7 @@ def mellin_zeta_critical_values(logp_nodes, contour: ContourSpec,
     zz = z[sel]
     basis = np.stack([zz ** -2.0, zz ** -3.0], axis=1)
     (q2, q3), *_ = np.linalg.lstsq(basis, q[sel], rcond=None)
-    z_r = contour.c + contour.truncation_radius * complex(
-        math.cos(contour.half_angle), math.sin(contour.half_angle))
+    z_r = contour.c + contour.truncation_radius * _PHASE
     i_q += q2 * z_r ** (-2.0) / 2.0 + q3 * z_r ** (-3.0) / 3.0
     zeta0 = -profile.a
     zeta0_prime = (2.0 * profile.d * contour.c / math.pi

@@ -1,6 +1,5 @@
 r"""Special-function kernel: gamma family, Riemann/Hurwitz zeta and their
-s-derivatives, Bessel J of integer order, log-scaled Bessel I, and the Debye
-(uniform large-order) ingredients.
+s-derivatives, Bessel J of integer order, and log-scaled Bessel I.
 
 Everything here is a pure function of its arguments.  Hurwitz zeta, its
 s-derivative and digamma come from one Euler-Maclaurin form; Riemann zeta
@@ -9,14 +8,13 @@ order comes from one array-first kernel, ``bessel_j_orders``: a downward
 (Miller) recurrence that yields all orders 0..n at every point of a real or
 complex array in one pass, normalized by the Neumann series (against
 ``cos z`` when the imaginary part is large, where the plain Neumann sum
-would be ill-conditioned).  ``bessel_j``, ``bessel_j_many``,
-``bessel_j_prime`` and ``bessel_j_complex_many`` are thin views of it.
+would be ill-conditioned).  ``bessel_j``, ``bessel_j_many`` and
+``bessel_j_complex_many`` are thin views of it.
 
 Modified Bessel functions I_n(x) are returned log-scaled, so that cross
 products at large order/argument never overflow: large-argument asymptotics
 (https://dlmf.nist.gov/10.40) once x >= max(35, 1.2 n^2), where that series
-decays, and the power series below.  ``bessel_i_uniform_log`` and the Debye
-polynomials give the uniform large-order form (https://dlmf.nist.gov/10.41).
+decays, and the power series below.
 """
 
 from __future__ import annotations
@@ -38,15 +36,8 @@ __all__ = [
     "bessel_j_orders",
     "bessel_j",
     "bessel_j_many",
-    "bessel_j_prime",
     "bessel_j_complex_many",
     "bessel_i_log",
-    "bessel_i_uniform_log",
-    "eta_debye",
-    "eta_debye_minus_z_eta_prime",
-    "u1_debye",
-    "v1_debye",
-    "uniform_w_poly",
 ]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
@@ -68,6 +59,12 @@ _BERNOULLI = {
     26: Fraction(8553103, 6),
     28: Fraction(-23749461029, 870),
 }
+
+
+# Euler-Maclaurin truncation (direct terms, Bernoulli corrections) shared by
+# hurwitz_zeta, hurwitz_zeta_prime and _digamma
+_EM_TERMS = 36
+_EM_CORRECTIONS = 12
 
 
 class SpecialFunctionError(ValueError):
@@ -140,11 +137,11 @@ def _pochhammer_prime(s: float, m: int) -> float:
     return total
 
 
-def hurwitz_zeta(s: float, a: float = 1.0, n_terms: int = 36, n_corr: int = 12) -> float:
+def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     """Hurwitz zeta(s, a) for real s != 1, a > 0, by Euler-Maclaurin.
 
     The Euler-Maclaurin form continues the Dirichlet series analytically;
-    with the default truncation it is accurate to ~1e-15 (relative) for
+    with its fixed truncation it is accurate to ~1e-15 (relative) for
     s in roughly [-12, 40].
     """
     if a <= 0.0:
@@ -153,21 +150,21 @@ def hurwitz_zeta(s: float, a: float = 1.0, n_terms: int = 36, n_corr: int = 12) 
         raise SpecialFunctionError("zeta has a pole at s = 1")
     acc = 0.0
     comp = 0.0
-    for k in range(n_terms):
+    for k in range(_EM_TERMS):
         term = (k + a) ** (-s)
         y = term - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
-    w = n_terms + a
+    w = _EM_TERMS + a
     acc += w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
-    for j in range(1, n_corr + 1):
+    for j in range(1, _EM_CORRECTIONS + 1):
         b = float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
         acc += b * _pochhammer(s, 2 * j - 1) * w ** (-s - 2 * j + 1)
     return acc
 
 
-def hurwitz_zeta_prime(s: float, a: float = 1.0, n_terms: int = 36, n_corr: int = 12) -> float:
+def hurwitz_zeta_prime(s: float, a: float = 1.0) -> float:
     """d/ds of hurwitz_zeta(s, a), same validity range."""
     if a <= 0.0:
         raise SpecialFunctionError("hurwitz_zeta_prime requires a > 0")
@@ -175,18 +172,18 @@ def hurwitz_zeta_prime(s: float, a: float = 1.0, n_terms: int = 36, n_corr: int 
         raise SpecialFunctionError("zeta has a pole at s = 1")
     acc = 0.0
     comp = 0.0
-    for k in range(n_terms):
+    for k in range(_EM_TERMS):
         base = k + a
         term = -math.log(base) * base ** (-s)
         y = term - comp
         t = acc + y
         comp = (t - acc) - y
         acc = t
-    w = n_terms + a
+    w = _EM_TERMS + a
     lw = math.log(w)
     acc += w ** (1.0 - s) * (-lw / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
     acc += -0.5 * lw * w ** (-s)
-    for j in range(1, n_corr + 1):
+    for j in range(1, _EM_CORRECTIONS + 1):
         b = float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
         m = 2 * j - 1
         acc += b * w ** (-s - 2 * j + 1) * (
@@ -198,10 +195,11 @@ def hurwitz_zeta_prime(s: float, a: float = 1.0, n_terms: int = 36, n_corr: int 
 def _digamma(x: float) -> float:
     """psi(x) for x > 0, the s -> 1 limit of hurwitz_zeta's Euler-Maclaurin
     form: psi(x) = -lim (zeta(s, x) - 1/(s - 1)), same truncation."""
-    w = 36 + x
+    w = _EM_TERMS + x
     tail = math.log(w) - 0.5 / w - sum(
-        float(_BERNOULLI[2 * j]) / (2 * j) * w ** (-2 * j) for j in range(1, 13))
-    return tail - math.fsum(1.0 / (k + x) for k in range(36))
+        float(_BERNOULLI[2 * j]) / (2 * j) * w ** (-2 * j)
+        for j in range(1, _EM_CORRECTIONS + 1))
+    return tail - math.fsum(1.0 / (k + x) for k in range(_EM_TERMS))
 
 
 def riemann_zeta(s: float) -> float:
@@ -338,13 +336,6 @@ def bessel_j(n: int, x: float) -> float:
     return bessel_j_many((n,), x)[int(n)]
 
 
-def bessel_j_prime(n: int, x: float) -> float:
-    """J_n'(x) = (J_{n-1}(x) - J_{n+1}(x)) / 2."""
-    n = int(n)
-    v = bessel_j_many((n - 1, n + 1), x)
-    return 0.5 * (v[n - 1] - v[n + 1])
-
-
 def bessel_j_complex_many(orders, z: np.ndarray) -> dict:
     """{n: J_n(z)} for nonnegative integer orders on an array of complex
     points, from one kernel pass.  This is the rotation backend for
@@ -415,52 +406,3 @@ def bessel_i_log(n: int, x: float):
     if x >= max(35.0, 1.2 * n * n):
         return _asymptotic_i_log(n, x), 1
     return _series_i_log(n, x), 1
-
-
-# ----------------------------------------------------------------------
-# Debye (uniform large-order) machinery
-# ----------------------------------------------------------------------
-
-def eta_debye(z: float) -> float:
-    """eta(z) = sqrt(1+z^2) + log(z / (1 + sqrt(1+z^2))), z > 0."""
-    w = math.sqrt(1.0 + z * z)
-    return w + math.log(z / (1.0 + w))
-
-
-def eta_debye_minus_z_eta_prime(z: float) -> float:
-    """eta(z) - z eta'(z) = log(z / (1 + sqrt(1+z^2))); -> log(z/2) as z -> 0."""
-    return math.log(z / (1.0 + math.sqrt(1.0 + z * z)))
-
-
-def u1_debye(p: float) -> float:
-    """First Debye polynomial u_1(p) = (3p - 5p^3)/24, p = (1+z^2)^(-1/2)."""
-    return (3.0 * p - 5.0 * p ** 3) / 24.0
-
-
-def v1_debye(p: float) -> float:
-    """First Debye polynomial for I_n', v_1(p) = -(3/8) p + (7/24) p^3."""
-    return -0.375 * p + (7.0 / 24.0) * p ** 3
-
-
-def uniform_w_poly(m: int, p: float) -> float:
-    """1/n coefficient of the uniform expansion of the order-(n+m) cross
-    product at argument n z:  w_m(p) = -(2m^2+2m+1) p / 4 + p^3 / 12.
-
-    At p = 1 this is -(m(m+1)/2 + 1/6); at m = 0 it equals u_1 + v_1.
-    """
-    return -0.25 * (2.0 * m * m + 2.0 * m + 1.0) * p + p ** 3 / 12.0
-
-
-def bessel_i_uniform_log(n: int, z: float, include_u1: bool = True) -> float:
-    """log I_n(n z) by the uniform large-order (Debye) expansion.
-
-    Leading term is O(1/n) accurate; with the u_1/n correction the relative
-    error is O(1/n^2), uniformly in z on the positive axis.
-    """
-    if n <= 0 or z <= 0.0:
-        raise SpecialFunctionError("bessel_i_uniform_log requires n, z > 0")
-    w = math.sqrt(1.0 + z * z)
-    out = n * eta_debye(z) - 0.5 * math.log(2.0 * math.pi * n) - 0.25 * math.log(1.0 + z * z)
-    if include_u1:
-        out += math.log1p(u1_debye(1.0 / w) / n)
-    return out

@@ -39,7 +39,7 @@ independent of the spectral route, which it must (and does) match.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -176,19 +176,7 @@ class TorsionReport:
     discrepancy: float
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "gram_entries": list(self.gram_entries),
-            "gram_det": self.gram_det,
-            "bc_ch_deg0": self.bc_ch_deg0,
-            "bc_td_deg0": self.bc_td_deg0,
-            "quillen_fs_log": self.quillen_fs_log,
-            "quillen_can_log": self.quillen_can_log,
-            "Tg": self.Tg,
-            "Tg_quadrature": self.Tg_quadrature,
-            "zeta0_prime": self.zeta0_prime,
-            "discrepancy": self.discrepancy,
-        }
+        return asdict(self)
 
 
 def torsion_g(m: int) -> TorsionReport:

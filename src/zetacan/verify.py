@@ -83,26 +83,28 @@ def suite_gram():
     return out
 
 
-def _alternates(lam, fam_a, fam_b, tol=1e-9) -> bool:
-    """True when the sorted zeros alternate between the two factor families."""
+def _alternates(lam, fam_a, fam_b) -> bool:
+    """True when the sorted zeros alternate between the two factor families
+    (a zero belongs to a family within 1e-9)."""
     labels = []
     for x in lam:
-        in_a = np.min(np.abs(fam_a - x)) < tol
-        in_b = np.min(np.abs(fam_b - x)) < tol
+        in_a = np.min(np.abs(fam_a - x)) < 1e-9
+        in_b = np.min(np.abs(fam_b - x)) < 1e-9
         if in_a == in_b:
             return False
         labels.append(0 if in_a else 1)
     return all(a != b for a, b in zip(labels, labels[1:]))
 
 
-def suite_interlacing(n_max: int = 10, m_max: int = 3, K: int = 50):
+def suite_interlacing():
     out = []
     worst_res = 0.0
     interlace_ok = True
     simple_ok = True
-    for m in range(m_max + 1):
+    K = 50
+    for m in range(4):
         seen = set()
-        for n in range(n_max + 1):
+        for n in range(11):
             nu = max(n, m - n)
             if nu in seen:
                 continue
@@ -131,8 +133,8 @@ def suite_interlacing(n_max: int = 10, m_max: int = 3, K: int = 50):
                 if np.any(signs == 0) or np.any(signs[1:] * signs[:-1] >= 0):
                     simple_ok = False
     out.append(_check_true(
-        f"interlacing: exactly one merged factor zero per gap (n<={n_max}, "
-        f"m<={m_max}, K={K})", interlace_ok))
+        "interlacing: exactly one merged factor zero per gap (n<=10, m<=3, K=50)",
+        interlace_ok))
     out.append(_check_true("interlacing: zeros simple, derivative signs alternate",
                            simple_ok))
     out.append(_check_true("interlacing: residual below 1e-10 x local scale",
@@ -163,24 +165,24 @@ def suite_interlacing(n_max: int = 10, m_max: int = 3, K: int = 50):
     return out
 
 
-def suite_sumrule(m_max: int = 4, nu_max: int = 8, K: int = 60):
+def suite_sumrule():
     out = []
     worst2 = worst4 = 0.0
-    for m in range(m_max + 1):
-        orders = [nu for nu, _ in besselx.canonical_orders(m, nu_max)
-                  if nu <= nu_max]
+    K = 60
+    for m in range(5):
+        orders = [nu for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8]
         for nu in orders:
             seq = besselx.zeros(CrossProductSpec(nu, m), K)
             s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
                 seq.zeros, K, 1.0, slope=math.pi / 2.0)
-            worst2 = max(worst2, abs(s2 - besselx.taylor_sum_rule(
-                CrossProductSpec(nu, m), 2)))
+            worst2 = max(worst2, abs(s2 - float(besselx.taylor_sum_rule_exact(
+                CrossProductSpec(nu, m), 2))))
             s4 = float(np.sum(seq.zeros ** -4.0)) + zero_tail_sum(
                 seq.zeros, K, 2.0, slope=math.pi / 2.0)
-            worst4 = max(worst4, abs(s4 - besselx.taylor_sum_rule(
-                CrossProductSpec(nu, m), 4)))
+            worst4 = max(worst4, abs(s4 - float(besselx.taylor_sum_rule_exact(
+                CrossProductSpec(nu, m), 4))))
     out.append(_check_true(
-        f"sumrule: zeros+tail vs Taylor oracle, power 2 (m<={m_max})",
+        "sumrule: zeros+tail vs Taylor oracle, power 2 (m<=4)",
         worst2 <= 1e-6, f"worst={worst2:.3e}"))
     out.append(_check_true("sumrule: power 4", worst4 <= 1e-8,
                            f"worst={worst4:.3e}"))

@@ -25,7 +25,7 @@ Values at 0 are kept in exact rational arithmetic where they are rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +55,6 @@ __all__ = [
     "eta_at_zero",
     "gamma_k_zero",
     "gamma_k_function",
-    "a_component",
     "f_component_closed",
     "f_component_semiclosed",
     "f_component_values",
@@ -88,12 +87,7 @@ class FamilyComponents:
     gamma_k_0: list
 
     def as_dict(self) -> dict:
-        return {
-            "m": self.m, "A0": self.A0, "A0_prime": self.A0_prime,
-            "BP_limit": self.BP_limit, "F0": self.F0,
-            "F0_prime": self.F0_prime, "eta0": self.eta0,
-            "gamma_k_0": list(self.gamma_k_0),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -126,11 +120,10 @@ class RegularizationReport:
 # Profiles of single sequences
 # ----------------------------------------------------------------------
 
-def zeta_from_profile(profile: AsymptoticProfile,
-                      residual_threshold: float = 1e-8):
+def zeta_from_profile(profile: AsymptoticProfile):
     """(zeta(0), zeta'(0)) = (-a, -b) from a certified profile of -log p;
-    FitError when the profile's fit residual is over ``residual_threshold``."""
-    if not profile.certified(residual_threshold):
+    FitError when the profile is not certified."""
+    if not profile.certified():
         raise FitError(
             f"profile not certified: residual {profile.fit_residual:.2e}")
     return -profile.a, -profile.b
@@ -167,10 +160,10 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
     return AsymptoticProfile(d=d, a=a, b=b, c1=c1, c2=0.0, fit_residual=0.0)
 
 
-def fitted_profile(nu: int, m: int, z_min: float = 80.0, z_max: float = 800.0,
-                   n_nodes: int = 160, inverse_degree: int = 5) -> AsymptoticProfile:
+def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
     """Numerical profile of the same function, fitted from log-scaled
-    evaluations of the cross product on a ray window.
+    evaluations of the cross product at 160 points of the ray window
+    [80, 800], with inverse powers up to z^-5.
 
     The window sits where the dropped O(1/z^6) model terms are below
     1e-10, so the fitted constant term is good to ~1e-9 even for the
@@ -178,8 +171,7 @@ def fitted_profile(nu: int, m: int, z_min: float = 80.0, z_max: float = 800.0,
     """
     nu = max(nu, m - nu)
     g = lambda z: -cross_G_norm_log(nu, m, z)
-    return fit_asymptotic_profile(g, z_min, z_max, n_nodes=n_nodes,
-                                  inverse_degree=inverse_degree)
+    return fit_asymptotic_profile(g, 80.0, 800.0, n_nodes=160, inverse_degree=5)
 
 
 # ----------------------------------------------------------------------
@@ -216,9 +208,9 @@ def logp_nodes_for_order(nu: int, m: int):
     return f
 
 
-def contour_for_order(nu: int, m: int, truncation_radius: float = 240.0) -> ContourSpec:
+def contour_for_order(nu: int, m: int) -> ContourSpec:
     lam1 = besselx.zeros(CrossProductSpec(nu, m), 1).zeros[0]
-    return ContourSpec(c=0.5 * float(lam1), truncation_radius=truncation_radius)
+    return ContourSpec(c=0.5 * float(lam1), truncation_radius=240.0)
 
 
 def _sequence_values(nu: int, m: int, route: str):
@@ -232,8 +224,7 @@ def _sequence_values(nu: int, m: int, route: str):
     if route == "contour":
         prof = analytic_profile(nu, m)
         return mellin_zeta_critical_values(
-            logp_nodes_for_order(nu, m), contour_for_order(nu, m), prof,
-            unwrap=True)
+            logp_nodes_for_order(nu, m), contour_for_order(nu, m), prof)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -258,20 +249,21 @@ def eta_function(s: float) -> float:
             + stirling_remainder_r2_sum(s))
 
 
-def eta_direct(s: float, n_terms: int = 4000) -> float:
+def eta_direct(s: float) -> float:
     """Direct summation of eta(s), convergent for s > 1.
 
-    The tail of sum log Gamma(n) n^{-2s} is completed with the Stirling
-    expansion against Hurwitz zeta values (the log-weighted sum
-    sum_{n >= a} log(n) n^{-x} is -hurwitz_zeta_prime(x, a)); serves as an
-    independent oracle for the continued representation at s > 1.
+    Terms n <= 4000 are summed directly; the tail of sum log Gamma(n)
+    n^{-2s} is completed with the Stirling expansion against Hurwitz zeta
+    values (the log-weighted sum sum_{n >= a} log(n) n^{-x} is
+    -hurwitz_zeta_prime(x, a)); serves as an independent oracle for the
+    continued representation at s > 1.
     """
     if s <= 1.0:
         raise ValueError("direct eta series converges only for s > 1")
     total = 0.0
-    for n in range(2, n_terms + 1):
+    for n in range(2, 4001):
         total += math.lgamma(n) * n ** (-2.0 * s)
-    a = n_terms + 1.0
+    a = 4001.0
     total += (-hurwitz_zeta_prime(2.0 * s - 1.0, a)
               - hurwitz_zeta(2.0 * s - 1.0, a)
               + 0.5 * hurwitz_zeta_prime(2.0 * s, a)
@@ -290,16 +282,16 @@ def gamma_k_zero(k: int) -> float:
     return -log_gamma(k + 1.0) - EULER_GAMMA * k
 
 
-def gamma_k_function(k: int, s: float, n_direct: int = 400) -> float:
+def gamma_k_function(k: int, s: float) -> float:
     """gamma_k(s) = sum_n n^{-2s} (log(1 + k/n) - k/n) by direct summation
-    with a series tail; independent oracle for gamma_k_zero."""
+    to n = 400 with a series tail; independent oracle for gamma_k_zero."""
     total = 0.0
-    for n in range(1, n_direct + 1):
+    for n in range(1, 401):
         total += n ** (-2.0 * s) * (math.log1p(k / n) - k / n)
     for j in range(2, 16):
         coeff = (-1.0) ** (j - 1) * float(k) ** j / j
-        total += coeff * hurwitz_zeta(2.0 * s + j, n_direct + 1.0)
-        if abs(coeff) * (n_direct + 1.0) ** (-(2.0 * s + j - 1.0)) < 1e-18:
+        total += coeff * hurwitz_zeta(2.0 * s + j, 401.0)
+        if abs(coeff) * 401.0 ** (-(2.0 * s + j - 1.0)) < 1e-18:
             break
     return total
 
@@ -333,11 +325,6 @@ def f_component_values(m: int):
 # Family blocks and assembly
 # ----------------------------------------------------------------------
 
-def a_component(m: int, s: float) -> float:
-    """A_m(s) = zeta(2s-1) + (m/2) zeta(2s); poles at s = 1 and s = 1/2."""
-    return riemann_zeta(2.0 * s - 1.0) + 0.5 * m * riemann_zeta(2.0 * s)
-
-
 def family_components(m: int) -> FamilyComponents:
     """All component values entering the order >= m+1 block at s = 0."""
     if m < 0:
@@ -367,13 +354,6 @@ def zeta_tail_block(m: int):
                     + (1.0 / 6.0 - 0.5 * m * (m + 1)) * _LOG2
                     + 0.5 * (m + 1) * _LOGPI - 1.0 / 12.0)
     return value0, value0_prime
-
-
-def zeta_tail_block_from_components(m: int):
-    """Same block assembled from the FamilyComponents values."""
-    comp = family_components(m)
-    return (-comp.A0 + comp.F0,
-            -comp.A0_prime + comp.BP_limit + comp.F0_prime)
 
 
 def low_order_sequence_values(m: int, route: str = "closed"):
@@ -576,32 +556,31 @@ def _order_tail_over_n(values_by_n: dict, s: float, n_from: int) -> float:
             + coef[2] * hurwitz_zeta(2.0 * s + 1.0, a))
 
 
-def _spectral_sum(m: int, s: float, n_family: int, order_zeta) -> float:
+def _spectral_sum(m: int, s: float, order_zeta) -> float:
     """4^s z_m(s) from the per-order values ``order_zeta(nu)``: the low
     orders with their weights, then 2 * sum over the family orders
-    nu = m+1 .. m+n_family, then the n-tail fitted to the last eight."""
+    nu = m+1 .. m+14, then the n-tail fitted to the last eight."""
     total = 0.0
     for nu, weight in besselx.canonical_orders(m, m // 2 + 1):
         total += weight * order_zeta(nu)
-    fam_vals = {n: order_zeta(n + m) for n in range(1, n_family + 1)}
+    fam_vals = {n: order_zeta(n + m) for n in range(1, 15)}
     total += 2.0 * sum(fam_vals.values())
-    fit_tail = {n: fam_vals[n] for n in range(max(1, n_family - 7), n_family + 1)}
-    total += 2.0 * _order_tail_over_n(fit_tail, s, n_family)
+    fit_tail = {n: fam_vals[n] for n in range(7, 15)}
+    total += 2.0 * _order_tail_over_n(fit_tail, s, 14)
     return 4.0 ** s * total
 
 
-def spectral_zeta_direct(m: int, s: float, n_family: int = 14, K: int = 60) -> float:
-    """zeta(s) = 4^s z_m(s) from certified zeros plus k- and n-tails, s > 1."""
+def spectral_zeta_direct(m: int, s: float) -> float:
+    """zeta(s) = 4^s z_m(s) from 60 certified zeros per order plus k- and
+    n-tails, s > 1."""
     if s <= 1.0:
         raise ValueError("direct spectral sum needs s > 1")
-    return _spectral_sum(m, s, n_family, lambda nu: _order_zeta_direct(nu, m, s, K))
+    return _spectral_sum(m, s, lambda nu: _order_zeta_direct(nu, m, s, 60))
 
 
-def spectral_zeta_contour(m: int, s: float, n_family: int = 14,
-                          truncation_radius: float = 240.0) -> float:
+def spectral_zeta_contour(m: int, s: float) -> float:
     """Same object with every per-order value from the contour integral."""
     if s <= 1.0:
         raise ValueError("needs s > 1")
-    return _spectral_sum(m, s, n_family, lambda nu: mellin_contour_zeta(
-        logp_nodes_for_order(nu, m), contour_for_order(nu, m, truncation_radius),
-        s, unwrap=True))
+    return _spectral_sum(m, s, lambda nu: mellin_contour_zeta(
+        logp_nodes_for_order(nu, m), contour_for_order(nu, m), s))

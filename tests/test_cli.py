@@ -118,6 +118,13 @@ class TestExitCodes:
     def test_config_error_exits_2(self, capsys):
         assert cli.main(["zeta", "--m", "-2"]) == 2
 
+    def test_unwritable_out_exits_2(self, tmp_path):
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli("torsion", "--m", "1", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+
 
 class TestImports:
     @pytest.mark.parametrize("argv", [

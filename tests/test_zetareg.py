@@ -54,25 +54,15 @@ class TestSequenceValues:
 
 class TestComponents:
     def test_a_component_sampled(self):
-        # A_m(s) = zeta(2s-1) + (m/2) zeta(2s) consistent with the kernel
-        # at s = 0 and on the continuation s-grid
-        from zetacan.special import hurwitz_zeta, riemann_zeta
+        # A_m(0) = zeta(-1) + (m/2) zeta(0) = -1/12 - m/4, consistent with
+        # the kernel
+        from zetacan.special import riemann_zeta
 
         for m in (0, 2, 5):
             comp = zr.family_components(m)
-            assert comp.A0 == pytest.approx(zr.a_component(m, 0.0), abs=1e-14)
+            assert comp.A0 == pytest.approx(-1.0 / 12.0 - 0.25 * m, abs=1e-14)
             assert comp.A0 == pytest.approx(
                 riemann_zeta(-1.0) + 0.5 * m * riemann_zeta(0.0), abs=1e-14)
-            for s in (0.25, 0.75, 1.5, 2.0, 3.0):
-                assert math.isfinite(zr.a_component(m, s))
-            # Dirichlet-series consistency where the sum converges
-            s = 2.0
-            n_cut = 200
-            direct = sum((n + 0.5 * m) / n ** (2.0 * s)
-                         for n in range(1, n_cut + 1))
-            direct += (hurwitz_zeta(2.0 * s - 1.0, n_cut + 1.0)
-                       + 0.5 * m * hurwitz_zeta(2.0 * s, n_cut + 1.0))
-            assert direct == pytest.approx(zr.a_component(m, s), abs=1e-12)
 
     def test_gamma_k_values(self):
         # gamma_1(0) = -log Gamma(2) - gamma = -gamma (telescoping series);
@@ -88,13 +78,6 @@ class TestComponents:
         # analytic near 0: values at small s stay close to the s = 0 limit
         val = zr.gamma_k_function(2, 0.01)
         assert val == pytest.approx(zr.gamma_k_zero(2), abs=0.05)
-
-    def test_w_m_at_zero(self):
-        from zetacan.special import uniform_w_poly
-
-        for m in range(5):
-            assert uniform_w_poly(m, 1.0) == pytest.approx(
-                -(m * (m + 1) / 2.0 + 1.0 / 6.0), abs=1e-14)
 
     def test_f_neumann_block(self):
         f0, f0p = zr.f_component_closed(3.0 / 8.0, -7.0 / 24.0)
@@ -156,11 +139,15 @@ class TestBlocks:
         assert v0 == Fraction(11, 12)
 
     def test_tail_block_component_consistency(self):
+        # the closed block against its assembly from the component values:
+        # zeta(0) = -A_m(0) + F_m(0),
+        # zeta'(0) = -A_m'(0) + lim(-B_m + P_m) + F_m'(0)
         for m in range(5):
             a = zr.zeta_tail_block(m)
-            b = zr.zeta_tail_block_from_components(m)
-            assert float(a[0]) == pytest.approx(b[0], abs=1e-13)
-            assert a[1] == pytest.approx(b[1], abs=1e-12)
+            comp = zr.family_components(m)
+            assert float(a[0]) == pytest.approx(-comp.A0 + comp.F0, abs=1e-13)
+            assert a[1] == pytest.approx(
+                -comp.A0_prime + comp.BP_limit + comp.F0_prime, abs=1e-12)
 
     def test_low_order_block_values(self):
         vals = zr.low_order_sequence_values(2, "closed")
