@@ -13,8 +13,10 @@ are simple, avoid the zeros of both J factors, and interlace the merged
 zero set of J_n and J_{n-m}: between consecutive cross-product zeros lies
 exactly one merged Bessel zero.  That interlacing supplies the root
 brackets used here: every gap is fine-scanned, so a missed sign change
-cannot silently drop a zero, and all brackets of a sequence are polished
-together by a lockstep Newton solve on the analytic derivative of L_n.
+cannot silently drop a zero.  ``zero_sequences`` solves all the orders a
+caller asks for in one lockstep pass: one kernel pass probes every order's
+gaps, one Newton solve on the analytic derivative of L_n polishes every
+bracket, and one pass takes the residuals.
 
 Bessel zeros themselves are generated internally, all orders of a table at
 once: sign changes of one kernel pass over a unit grid bracket them, one
@@ -31,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import BracketError, newton_brackets
-from .special import bessel_j, bessel_j_many, bessel_j_orders
+from .special import bessel_j, bessel_j_orders
 
 __all__ = [
     "CrossProductSpec",
@@ -46,6 +48,7 @@ __all__ = [
     "cross_G_norm_log",
     "small_z_exponent",
     "small_z_coefficient",
+    "zero_sequences",
     "zeros",
     "taylor_sum_rule_exact",
     "canonical_orders",
@@ -202,17 +205,28 @@ def bessel_jp_zeros(order: int, count: int) -> np.ndarray:
 # Cross products
 # ----------------------------------------------------------------------
 
-def _j_and_prime(orders, x) -> dict:
-    """{n: (J_n(x), J_n'(x))} from one kernel pass, J_n' = (J_{n-1} - J_{n+1})/2."""
-    v = bessel_j_many({n + s for n in orders for s in (-1, 0, 1)}, x)
-    return {n: (v[n], 0.5 * (v[n - 1] - v[n + 1])) for n in orders}
+def _j_and_prime(n, offsets, top, x):
+    """[(J_k(x), J_k'(x)) for k = n + o, o in offsets] from one kernel pass,
+    J_k' = (J_{k-1} - J_{k+1})/2 and J_{-k} = (-1)^k J_k.  x is a scalar or an
+    array; n and ``top``, the highest order a point needs, are integers or
+    integer arrays broadcast against x.  A point's pass stops at its own top,
+    so its values never depend on the other points of the call."""
+    x, n, top = np.broadcast_arrays(np.asarray(x, dtype=float), n, top)
+    j = bessel_j_orders(top.ravel(), x.ravel())
+    offs = sorted({o + d for o in offsets for d in (-1, 0, 1)})
+    q = n.ravel() + np.array(offs)[:, None]  # the orders read, one row per offset
+    v = j[np.abs(q), np.arange(x.size)]
+    v = np.where((q < 0) & (q % 2 == 1), -v, v)
+    J = {o: row.reshape(x.shape)[()] for o, row in zip(offs, v)}
+    return [(J[o], 0.5 * (J[o - 1] - J[o + 1])) for o in offsets]
 
 
-def _cross_L_pair(n: int, m: int, x):
-    """(L_n, dL_n/dx) at x (scalar or array) from one kernel pass."""
-    j = _j_and_prime((n, n - m - 1, n + 1, n - m), x)
-    (a, da), (b, db) = j[n], j[n - m - 1]
-    (c, dc), (d, dd) = j[n + 1], j[n - m]
+def _cross_L_pair(n, m: int, x):
+    """(L_n, dL_n/dx) at x (scalar or array) from one kernel pass; the order
+    n is an integer or an integer array broadcast against x."""
+    n = np.asarray(n)
+    (a, da), (b, db), (c, dc), (d, dd) = _j_and_prime(
+        n, (0, -m - 1, 1, -m), np.maximum(n + 2, np.abs(n - m - 2)), x)
     return -a * b + c * d, -da * b - a * db + dc * d + c * dd
 
 
@@ -273,11 +287,19 @@ def cross_G_norm_log(n: int, m: int, x: float) -> float:
 # Zero sequences of L_n
 # ----------------------------------------------------------------------
 
+def _factor_families(nu: int, m: int):
+    """(kind, order) of the two J zero families that make up L_nu's zeros when
+    it factorizes (m = 0, or 2 nu = m), else whose merge interlaces them."""
+    if m == 0:
+        return ("j", nu), ("jp", nu)
+    if 2 * nu == m:
+        return ("j", nu), ("j", nu + 1)
+    return ("j", nu), ("j", nu - m)
+
+
 def _merged_factor_zeros(nu: int, m: int, count: int) -> np.ndarray:
-    a, b = abs(nu), abs(nu - m)
-    za = bessel_j_zeros(a, count)
-    zb = bessel_j_zeros(b, count)
-    return np.sort(np.concatenate([za, zb]))
+    return np.sort(np.concatenate([_zero_table(kind, order, count)
+                                   for kind, order in _factor_families(nu, m)]))
 
 
 def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
@@ -295,61 +317,71 @@ def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
     return rows, lo, hi, a[rows, cols] < 0.0
 
 
-def zeros(spec: CrossProductSpec, K: int) -> SpectralSequence:
-    """First K positive zeros of L_n, certified by interlacing brackets.
+def zero_sequences(m: int, orders, K: int) -> list:
+    """First K positive zeros of L_n (twist degree m) for every n in ``orders``.
 
     The factorized cases (m = 0, where L_n = -2 J_n J_n', and the middle
     order n = m/2 for even m, where L reduces to +-2 J_{m/2} J_{m/2+1})
-    read their zeros off the Bessel zero tables directly.  Otherwise the
-    merged zeros of the two J factors bracket the roots: 33 probes scan the
-    gap below the smallest factor zero and 13 scan each following gap, all
-    in one kernel pass, and an empty gap raises BracketError, so the count
-    is certified.  All brackets are then polished in one lockstep Newton
-    solve on the analytic L_n'.
+    read their zeros off the Bessel zero tables.  Otherwise the merged zeros
+    of the two J factors bracket the roots: 33 probes scan the gap below the
+    smallest factor zero and 13 each following gap, and an empty gap raises
+    BracketError naming its order, so the count is certified.  One kernel
+    pass probes all orders, one lockstep Newton solve on the analytic L_n'
+    polishes all brackets and one pass takes the residuals.  A value depends
+    only on its own order, so a batch equals one-order calls bit for bit;
+    the orders of one symmetry class share one result.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    cspec = spec.canonical()
-    nu, m = cspec.n, cspec.m
-
-    if m == 0:
-        ja = bessel_j_zeros(nu, K)
-        jb = bessel_jp_zeros(nu, K)
-        lam = np.sort(np.concatenate([ja, jb]))[:K]
-    elif m % 2 == 0 and nu == m // 2:
-        ja = bessel_j_zeros(m // 2, K)
-        jb = bessel_j_zeros(m // 2 + 1, K)
-        lam = np.sort(np.concatenate([ja, jb]))[:K]
-    else:
-        grid = _merged_factor_zeros(nu, m, K + 2)
-        first = np.linspace(0.05 * grid[0], grid[0] * (1 - 1e-12), 33)
-        gaps = np.linspace(grid[:K] * (1 + 1e-13), grid[1:K + 1] * (1 - 1e-13), 13,
-                           axis=1)
-        vals = cross_L(nu, m, np.concatenate([first, gaps.ravel()]))
-        _, *below = _sign_brackets(first[None, :], vals[None, :33])
-        rows, *inside = _sign_brackets(gaps, vals[33:].reshape(K, 13))
-        # gaps are taken in order until K zeros are bracketed
-        per_gap = np.bincount(rows, minlength=K)
-        scanned = len(below[0]) + np.cumsum(per_gap) - per_gap < K
-        empty = np.flatnonzero(scanned & (per_gap == 0))
+    specs = [CrossProductSpec(n, m).canonical() for n in orders]
+    nus = list(dict.fromkeys(spec.n for spec in specs))
+    generic = np.array([nu for nu in nus if m > 0 and 2 * nu != m], dtype=int)
+    # the largest order's factors reach every table row the batch reads, so
+    # this sizes the zero tables once for the whole batch
+    _merged_factor_zeros(max(nus), m, K + 2 if generic.size else K)
+    lam = {nu: _merged_factor_zeros(nu, m, K)[:K] for nu in nus if nu not in generic}
+    if generic.size:
+        grid = np.array([_merged_factor_zeros(nu, m, K + 2) for nu in generic])
+        first = np.linspace(0.05 * grid[:, 0], grid[:, 0] * (1 - 1e-12), 33, axis=1)
+        gaps = np.linspace(grid[:, :K] * (1 + 1e-13), grid[:, 1:K + 1] * (1 - 1e-13), 13,
+                           axis=2).reshape(-1, 13)
+        vals = cross_L(generic[:, None], m, np.hstack([first, gaps.reshape(generic.size, -1)]))
+        rows_below, *below = _sign_brackets(first, vals[:, :33])
+        rows, *inside = _sign_brackets(gaps, vals[:, 33:].reshape(-1, 13))
+        # each order takes its gaps in order until K zeros are bracketed
+        per_gap = np.bincount(rows, minlength=gaps.shape[0]).reshape(-1, K)
+        n_below = np.bincount(rows_below, minlength=generic.size)[:, None]
+        scanned = n_below + np.cumsum(per_gap, axis=1) - per_gap < K
+        empty = np.argwhere(scanned & (per_gap == 0))
         if empty.size:
-            i = empty[0]
+            o, i = empty[0]
             raise BracketError(
-                f"no sign change of L_{nu} (m={m}) in factor-zero gap "
-                f"({grid[i]:.6f}, {grid[i+1]:.6f})")
-        keep = scanned[rows]
+                f"no sign change of L_{generic[o]} (m={m}) in factor-zero gap "
+                f"({grid[o, i]:.6f}, {grid[o, i + 1]:.6f})")
+        keep = scanned.ravel()[rows]
+        owner = np.concatenate([generic[rows_below], generic[rows[keep] // K]])
         lo, hi, rising = (np.concatenate([u, v[keep]]) for u, v in zip(below, inside))
-        lam = lo.copy()  # a probe that landed on a zero is that zero
-        solve = lo < hi
-        lam[solve] = newton_brackets(lambda x, _: _cross_L_pair(nu, m, x), lo[solve],
-                                     hi[solve], rising[solve], tol=1e-12)
-        lam = np.sort(lam)[:K]
+        root = lo.copy()  # a probe that landed on a zero is that zero
+        solve = np.flatnonzero(lo < hi)
+        root[solve] = newton_brackets(lambda x, idx: _cross_L_pair(owner[solve[idx]], m, x),
+                                      lo[solve], hi[solve], rising[solve], tol=1e-12)
+        lam.update((nu, np.sort(root[owner == nu])[:K]) for nu in generic.tolist())
 
-    ext = np.concatenate([[lam[0] * 0.5], lam, [lam[-1] + (lam[-1] - lam[-2] if len(lam) > 1 else 1.0)]])
-    at = np.abs(cross_L(nu, m, np.concatenate([lam, 0.5 * (ext[:-1] + ext[1:])])))
-    mid = at[len(lam):]
-    return SpectralSequence(spec=cspec, zeros=lam, residuals=at[:len(lam)],
-                            local_scales=np.maximum(mid[:-1], mid[1:]))
+    # residuals at the zeros and local scales at the midpoints, one pass
+    z = np.array([lam[nu] for nu in nus])
+    step = z[:, -1:] - z[:, -2:-1] if K > 1 else 1.0
+    ext = np.hstack([z[:, :1] * 0.5, z, z[:, -1:] + step])
+    mids = 0.5 * (ext[:, :-1] + ext[:, 1:])
+    at = np.abs(cross_L(np.array(nus)[:, None], m, np.hstack([z, mids])))
+    scales = np.maximum(at[:, K:-1], at[:, K + 1:])
+    seqs = {nu: SpectralSequence(CrossProductSpec(nu, m), z[i], at[i, :K], scales[i])
+            for i, nu in enumerate(nus)}
+    return [seqs[spec.n] for spec in specs]
+
+
+def zeros(spec: CrossProductSpec, K: int) -> SpectralSequence:
+    """First K positive zeros of L_n: ``zero_sequences`` for one order."""
+    return zero_sequences(spec.m, [spec.n], K)[0]
 
 
 # ----------------------------------------------------------------------
@@ -434,8 +466,8 @@ def spectrum(m: int, n_orders: int, K: int) -> Spectrum:
     if m < 0 or n_orders < 1 or K < 1:
         raise ValueError("require m >= 0 and n_orders, K >= 1")
     entries = []
-    for nu, mult in canonical_orders(m, n_orders):
-        seq = zeros(CrossProductSpec(nu, m), K)
+    orders = canonical_orders(m, n_orders)
+    for (nu, mult), seq in zip(orders, zero_sequences(m, [nu for nu, _ in orders], K)):
         for k, lam in enumerate(seq.zeros, start=1):
             entries.append(SpectrumEntry(
                 eigenvalue=float(lam) ** 2 / 4.0, multiplicity=mult,
@@ -474,8 +506,7 @@ def eigen_norm_check(nu: int, m: int, lam: float):
     zero of L_nu they agree.
     """
     lhs = cross_L_prime(nu, m, lam)
-    j = _j_and_prime((nu, nu - m), lam)
-    (ja, jap), (jb, jbp) = j[nu], j[nu - m]
+    (ja, jap), (jb, jbp) = _j_and_prime(nu, (0, -m), max(abs(nu), abs(nu - m)) + 1, lam)
     if ja == 0.0 or jb == 0.0:
         raise ValueError("cross-product zeros avoid the factor zeros; "
                          "got a vanishing Bessel factor")

@@ -290,7 +290,13 @@ class ContourSpec:
 
 
 def _eval_logp(logp_nodes, z: np.ndarray) -> np.ndarray:
+    """log p at the ray nodes z, its imaginary part made continuous along the
+    ray; QuadratureError when a sample is not finite."""
     vals = np.asarray(logp_nodes(z), dtype=np.complex128)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise QuadratureError(f"log p is not finite at {int(bad.sum())} of {vals.size} "
+                              f"contour nodes, first at z = {complex(z[bad][0]):.6g}")
     im = np.unwrap(vals.imag)
     im -= 2.0 * math.pi * round(im[0] / (2.0 * math.pi))
     return vals.real + 1j * im

@@ -276,9 +276,10 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
         start = np.full(x.shape, int(_miller_start(top, max(float(np.max(np.abs(x))), 1.0))))
     else:
         start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
+    # points grouped by start index: group g is order[edges[g]:edges[g + 1]]
     order = np.argsort(start, axis=None, kind="stable")
     starts, first = np.unique(start.ravel()[order], return_index=True)
-    seeds = dict(zip(starts.tolist(), np.split(order, first[1:])))
+    starts, edges, g = starts.tolist(), first.tolist() + [order.size], len(starts) - 1
     f = np.zeros(x.shape, dtype=x.dtype)   # unnormalized J_k
     fp = np.zeros(x.shape, dtype=x.dtype)  # unnormalized J_{k+1}
     neumann = np.zeros(x.shape, dtype=x.dtype)
@@ -288,10 +289,11 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     # rescale test on the steps where no value can have passed 1e280
     growth = float(np.max(np.abs(inv_x)))
     bound = bound_p = 0.0
-    for k in range(int(starts[-1]), -1, -1):
-        if k in seeds:
-            f.flat[seeds[k]] = 1e-30
+    for k in range(starts[-1], -1, -1):
+        if g >= 0 and k == starts[g]:
+            f.flat[order[edges[g]:edges[g + 1]]] = 1e-30
             bound = max(bound, 1e-30)
+            g -= 1
         f, fp = (k + 1) * inv_x * f - fp, f
         bound, bound_p = ((k + 1) * growth * bound + bound_p) * (1.0 + 1e-12), bound
         if k <= top:

@@ -103,23 +103,16 @@ def suite_interlacing():
     simple_ok = True
     K = 50
     for m in range(4):
-        seen = set()
-        for n in range(11):
-            nu = max(n, m - n)
-            if nu in seen:
-                continue
-            seen.add(nu)
-            seq = besselx.zeros(CrossProductSpec(nu, m), K)
+        nus = list(dict.fromkeys(max(n, m - n) for n in range(11)))
+        for nu, seq in zip(nus, besselx.zero_sequences(m, nus, K)):
             lam = seq.zeros
             worst_res = max(worst_res, float(np.max(seq.residuals / seq.local_scales)))
             factorized = (m == 0) or (m % 2 == 0 and nu == m // 2)
             if factorized:
                 # L factors as +-2 J_a J_b: zeros are the union of the two
                 # families, which must strictly alternate
-                a = nu if m == 0 else m // 2
-                fam_a = besselx.bessel_j_zeros(a, K + 2)
-                fam_b = (besselx.bessel_jp_zeros(nu, K + 2) if m == 0
-                         else besselx.bessel_j_zeros(m // 2 + 1, K + 2))
+                fam_a, fam_b = (besselx._zero_table(kind, order, K + 2)
+                                for kind, order in besselx._factor_families(nu, m))
                 if not _alternates(lam, fam_a, fam_b):
                     interlace_ok = False
             else:
@@ -139,10 +132,8 @@ def suite_interlacing():
                            simple_ok))
     out.append(_check_true("interlacing: residual below 1e-10 x local scale",
                            worst_res <= 1e-10, f"worst={worst_res:.3e}"))
-    worst_lower = math.inf
-    for n in range(1, 21):
-        lam1 = besselx.zeros(CrossProductSpec(n + 2, 2), 1).zeros[0]
-        worst_lower = min(worst_lower, lam1 - n)
+    firsts = besselx.zero_sequences(2, range(3, 23), 1)
+    worst_lower = min(seq.zeros[0] - n for n, seq in zip(range(1, 21), firsts))
     out.append(_check_true("interlacing: lambda_{n+m,1} >= n (n <= 20, m = 2)",
                            worst_lower >= 0.0, f"min margin={worst_lower:.3f}"))
     sym = np.max(np.abs(besselx.zeros(CrossProductSpec(0, 3), 10).zeros
@@ -151,8 +142,8 @@ def suite_interlacing():
                            f"max diff={sym:.2e}"))
     worst_norm = 0.0
     for m in range(4):
-        for nu in range(m + 1, m + 4):
-            seq = besselx.zeros(CrossProductSpec(nu, m), 10)
+        nus = range(m + 1, m + 4)
+        for nu, seq in zip(nus, besselx.zero_sequences(m, nus, 10)):
             for lam in seq.zeros:
                 if m == 0 and abs(bessel_j(nu, float(lam))) < 1e-8:
                     # m = 0 factorizes as -2 J J'; at the J zeros the factor
@@ -171,8 +162,7 @@ def suite_sumrule():
     K = 60
     for m in range(5):
         orders = [nu for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8]
-        for nu in orders:
-            seq = besselx.zeros(CrossProductSpec(nu, m), K)
+        for nu, seq in zip(orders, besselx.zero_sequences(m, orders, K)):
             s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
                 seq.zeros, K, 1.0, slope=math.pi / 2.0)
             worst2 = max(worst2, abs(s2 - float(besselx.taylor_sum_rule_exact(

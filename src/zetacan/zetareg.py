@@ -24,6 +24,7 @@ Values at 0 are kept in exact rational arithmetic where they are rational.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -62,7 +63,6 @@ __all__ = [
     "spectral_zeta_direct",
     "spectral_zeta_contour",
     "logp_nodes_for_order",
-    "contour_for_order",
 ]
 
 _LOG2 = math.log(2.0)
@@ -208,9 +208,16 @@ def logp_nodes_for_order(nu: int, m: int):
     return f
 
 
-def contour_for_order(nu: int, m: int) -> ContourSpec:
+@functools.lru_cache(maxsize=None)
+def _contour_samples(nu: int, m: int):
+    """(contour, raw log p_nu at its ray nodes) of one order, sampled once per
+    process and shared read-only by every s and both contour functions.  The
+    wedge's vertex is half the first zero."""
     lam1 = besselx.zeros(CrossProductSpec(nu, m), 1).zeros[0]
-    return ContourSpec(c=0.5 * float(lam1), truncation_radius=240.0)
+    contour = ContourSpec(c=0.5 * float(lam1), truncation_radius=240.0)
+    vals = logp_nodes_for_order(nu, m)(contour.ray_nodes()[0])
+    vals.flags.writeable = False
+    return contour, vals
 
 
 def _sequence_values(nu: int, m: int, route: str):
@@ -222,9 +229,9 @@ def _sequence_values(nu: int, m: int, route: str):
         prof = fitted_profile(nu, m)
         return zeta_from_profile(prof)
     if route == "contour":
-        prof = analytic_profile(nu, m)
-        return mellin_zeta_critical_values(
-            logp_nodes_for_order(nu, m), contour_for_order(nu, m), prof)
+        contour, vals = _contour_samples(nu, m)
+        return mellin_zeta_critical_values(lambda z: vals, contour,
+                                           analytic_profile(nu, m))
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -536,12 +543,6 @@ def _f_values_numeric(alpha: float, beta: float):
 # Direct / contour spectral sums at s > 1
 # ----------------------------------------------------------------------
 
-def _order_zeta_direct(nu: int, m: int, s: float, K: int) -> float:
-    seq = besselx.zeros(CrossProductSpec(nu, m), K)
-    part = float(np.sum(seq.zeros ** (-2.0 * s)))
-    return part + zero_tail_sum(seq.zeros, K, s, slope=math.pi / 2.0)
-
-
 def _order_tail_over_n(values_by_n: dict, s: float, n_from: int) -> float:
     """Complete sum over family index n > n_from of per-order zeta values,
     fitting zeta_n(s) ~ alpha n^{1-2s} + beta n^{-2s} + gamma n^{-1-2s}."""
@@ -556,14 +557,17 @@ def _order_tail_over_n(values_by_n: dict, s: float, n_from: int) -> float:
             + coef[2] * hurwitz_zeta(2.0 * s + 1.0, a))
 
 
-def _spectral_sum(m: int, s: float, order_zeta) -> float:
-    """4^s z_m(s) from the per-order values ``order_zeta(nu)``: the low
-    orders with their weights, then 2 * sum over the family orders
-    nu = m+1 .. m+14, then the n-tail fitted to the last eight."""
+def _spectral_sum(m: int, s: float, order_zetas) -> float:
+    """4^s z_m(s) from the per-order values ``order_zetas(orders)`` of the
+    low orders and the family orders nu = m+1 .. m+14: the low orders with
+    their weights, then 2 * sum over the family orders, then the n-tail
+    fitted to the last eight."""
+    low = besselx.canonical_orders(m, m // 2 + 1)
+    vals = order_zetas([nu for nu, _ in low] + list(range(m + 1, m + 15)))
     total = 0.0
-    for nu, weight in besselx.canonical_orders(m, m // 2 + 1):
-        total += weight * order_zeta(nu)
-    fam_vals = {n: order_zeta(n + m) for n in range(1, 15)}
+    for (nu, weight), val in zip(low, vals):
+        total += weight * val
+    fam_vals = dict(zip(range(1, 15), vals[len(low):]))
     total += 2.0 * sum(fam_vals.values())
     fit_tail = {n: fam_vals[n] for n in range(7, 15)}
     total += 2.0 * _order_tail_over_n(fit_tail, s, 14)
@@ -572,15 +576,21 @@ def _spectral_sum(m: int, s: float, order_zeta) -> float:
 
 def spectral_zeta_direct(m: int, s: float) -> float:
     """zeta(s) = 4^s z_m(s) from 60 certified zeros per order plus k- and
-    n-tails, s > 1."""
+    n-tails, s > 1; every order's zeros come from one lockstep solve."""
     if s <= 1.0:
         raise ValueError("direct spectral sum needs s > 1")
-    return _spectral_sum(m, s, lambda nu: _order_zeta_direct(nu, m, s, 60))
+    return _spectral_sum(m, s, lambda orders: [
+        float(np.sum(seq.zeros ** (-2.0 * s)))
+        + zero_tail_sum(seq.zeros, 60, s, slope=math.pi / 2.0)
+        for seq in besselx.zero_sequences(m, orders, 60)])
 
 
 def spectral_zeta_contour(m: int, s: float) -> float:
     """Same object with every per-order value from the contour integral."""
     if s <= 1.0:
         raise ValueError("needs s > 1")
-    return _spectral_sum(m, s, lambda nu: mellin_contour_zeta(
-        logp_nodes_for_order(nu, m), contour_for_order(nu, m), s))
+
+    def order_zeta(nu):
+        contour, vals = _contour_samples(nu, m)
+        return mellin_contour_zeta(lambda z: vals, contour, s)
+    return _spectral_sum(m, s, lambda orders: [order_zeta(nu) for nu in orders])

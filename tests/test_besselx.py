@@ -6,7 +6,7 @@ import pytest
 from scipy.special import jn_zeros, jnp_zeros
 
 from zetacan import besselx as bx
-from zetacan.numerics import adaptive_quad, zero_tail_sum
+from zetacan.numerics import BracketError, adaptive_quad, zero_tail_sum
 from zetacan.special import bessel_j, bessel_j_many
 
 
@@ -161,6 +161,48 @@ class TestZeroSequences:
         assert len(seq.zeros) == 25
         assert np.all(np.diff(seq.zeros) > 0)
         assert np.all(seq.zeros > 0)
+
+
+class TestBatchedSequences:
+    """zero_sequences solves many orders at once; batching changes no bit."""
+
+    @staticmethod
+    def _orders(m):
+        # duplicates, the symmetric pairs (0, m) and (1, m - 1), the middle
+        # order m/2 and family orders
+        return [0, m, m // 2, m + 1, max(m - 1, 0), m + 3, m + 1, 1, m, m // 2]
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
+    @pytest.mark.parametrize("K", [1, 8, 50])
+    def test_batch_equals_solo(self, m, K, monkeypatch):
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        orders = self._orders(m)
+        batch = bx.zero_sequences(m, orders, K)
+        assert len(batch) == len(orders)
+        for n, got in zip(orders, batch):
+            solo = bx.zeros(bx.CrossProductSpec(n, m), K)
+            assert got.spec == solo.spec == bx.CrossProductSpec(n, m).canonical()
+            for field in ("zeros", "residuals", "local_scales"):
+                assert np.array_equal(getattr(got, field), getattr(solo, field)), \
+                    (n, field)
+            assert len(got.zeros) == K
+
+    def test_empty_gap_names_its_order(self, monkeypatch):
+        # flatten L_7 on its probes: its gaps hold no sign change
+        cross_L = bx.cross_L
+
+        def flat_7(n, m, x):
+            vals = np.array(cross_L(n, m, x))
+            vals[np.broadcast_to(n, vals.shape) == 7] = 1.0
+            return vals
+
+        monkeypatch.setattr(bx, "cross_L", flat_7)
+        with pytest.raises(BracketError, match=r"L_7 \(m=2\)"):
+            bx.zero_sequences(2, [3, 5, 7, 9], 6)
+
+    def test_rejects_empty_count(self):
+        with pytest.raises(ValueError):
+            bx.zero_sequences(2, [3], 0)
 
 
 class TestSumRules:

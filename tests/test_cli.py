@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from zetacan import cli
@@ -111,9 +112,24 @@ class TestExitCodes:
         def boom(*a, **k):
             raise BracketError("forced failure")
 
-        monkeypatch.setattr("zetacan.cli.besselx.zeros", boom)
+        monkeypatch.setattr("zetacan.cli.besselx.zero_sequences", boom)
         assert cli.main(["spectrum", "--m", "0", "--n-max", "1",
                          "--k-max", "1"]) == 3
+
+    def test_non_finite_contour_exits_3(self, monkeypatch, capsys):
+        from zetacan import zetareg
+
+        def nan_logp(nu, m):
+            return lambda z: np.full(z.shape, np.nan + 0j)
+
+        monkeypatch.setattr(zetareg, "logp_nodes_for_order", nan_logp)
+        zetareg._contour_samples.cache_clear()
+        try:
+            code = cli.main(["zeta", "--m", "1", "--route", "contour"])
+        finally:
+            zetareg._contour_samples.cache_clear()
+        assert code == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_config_error_exits_2(self, capsys):
         assert cli.main(["zeta", "--m", "-2"]) == 2

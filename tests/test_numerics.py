@@ -234,6 +234,21 @@ class TestContour:
         assert z0 == pytest.approx(-0.5, abs=1e-12)
         assert z0p == pytest.approx(-math.log(2.0 * math.pi), abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_sample_raises(self, bad):
+        ctr = num.ContourSpec(c=0.5, truncation_radius=60.0)
+        prof = num.AsymptoticProfile(d=-math.pi, a=0.5, b=math.log(2.0 * math.pi))
+
+        def broken(z):
+            vals = _sine_logp(z)
+            vals[len(vals) // 2] = bad
+            return vals
+
+        with pytest.raises(num.QuadratureError, match="not finite"):
+            num.mellin_contour_zeta(broken, ctr, 2.0)
+        with pytest.raises(num.QuadratureError, match="not finite"):
+            num.mellin_zeta_critical_values(broken, ctr, prof)
+
     def test_requires_s_above_half(self):
         ctr = num.ContourSpec(c=0.5, truncation_radius=60.0)
         with pytest.raises(ValueError):

@@ -242,3 +242,20 @@ class TestSpectralSums:
         d = zr.spectral_zeta_direct(m, s)
         c = zr.spectral_zeta_contour(m, s)
         assert d == pytest.approx(c, abs=1e-5)
+
+
+class TestContourSampleCache:
+    def test_cold_and_warm_agree(self):
+        zr._contour_samples.cache_clear()
+        cold = zr.spectral_zeta_contour(1, 1.5)
+        hits = zr._contour_samples.cache_info().hits
+        warm = zr.spectral_zeta_contour(1, 1.5)
+        assert zr._contour_samples.cache_info().hits > hits
+        assert warm == cold
+
+    def test_cached_samples_are_read_only(self):
+        contour, vals = zr._contour_samples(0, 1)
+        assert not vals.flags.writeable
+        assert len(vals) == len(contour.ray_nodes()[0])
+        with pytest.raises(ValueError):
+            vals[0] = 0.0
