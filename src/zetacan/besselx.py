@@ -26,6 +26,7 @@ certifies them, so the module has no dependency on tabulated zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -413,6 +414,17 @@ def _g_series(nu: int, m: int, r_max: int = 4) -> dict:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _power_sums(nu: int, m: int):
+    """(sum lambda^-2, sum lambda^-4) of L_nu, from one Taylor series."""
+    series = _g_series(nu, m)
+    e = min(series)
+    l = series[e]
+    e1 = series.get(e + 2, Fraction(0)) / l
+    e2 = series.get(e + 4, Fraction(0)) / l
+    return e1, e1 * e1 - 2 * e2
+
+
 def taylor_sum_rule_exact(spec: CrossProductSpec, power: int = 2) -> Fraction:
     """sum_k lambda_k^{-power} (power 2 or 4) from Taylor coefficients, exact.
 
@@ -423,14 +435,7 @@ def taylor_sum_rule_exact(spec: CrossProductSpec, power: int = 2) -> Fraction:
     if power not in (2, 4):
         raise ValueError("power must be 2 or 4")
     cspec = spec.canonical()
-    series = _g_series(cspec.n, cspec.m)
-    e = min(series)
-    l = series[e]
-    e1 = series.get(e + 2, Fraction(0)) / l
-    if power == 2:
-        return e1
-    e2 = series.get(e + 4, Fraction(0)) / l
-    return e1 * e1 - 2 * e2
+    return _power_sums(cspec.n, cspec.m)[power // 2 - 1]
 
 
 # ----------------------------------------------------------------------
@@ -493,7 +498,7 @@ def eigenfunction_radial(nu: int, m: int, lam: float, r: float) -> float:
     return bessel_j(nu, lam) / bessel_j(nu - m, lam) * r ** m * bessel_j(nu - m, lam / r)
 
 
-def eigen_norm_check(nu: int, m: int, lam: float):
+def eigen_norm_check(nu: int, m: int, lam):
     """Both sides of  L_nu'(lambda) = 2 (J_{nu-m}/J_nu)(lambda) * I(lambda).
 
     I is the closed-form squared norm of the radial eigenfunction
@@ -502,12 +507,13 @@ def eigen_norm_check(nu: int, m: int, lam: float):
         I = (1/2) (J_nu'^2 + (1 - nu^2/lam^2) J_nu^2)
           + (J_nu^2 / (2 J_{nu-m}^2)) (J_{nu-m}'^2 + (1 - (nu-m)^2/lam^2) J_{nu-m}^2),
 
-    everything evaluated at lambda.  Returns (lhs, rhs); at a true simple
-    zero of L_nu they agree.
+    everything evaluated at lambda, a scalar or an array (one kernel pass
+    for all).  Returns (lhs, rhs); at a true simple zero of L_nu they agree.
     """
+    lam = np.asarray(lam, dtype=float)
     lhs = cross_L_prime(nu, m, lam)
     (ja, jap), (jb, jbp) = _j_and_prime(nu, (0, -m), max(abs(nu), abs(nu - m)) + 1, lam)
-    if ja == 0.0 or jb == 0.0:
+    if np.any(ja == 0.0) or np.any(jb == 0.0):
         raise ValueError("cross-product zeros avoid the factor zeros; "
                          "got a vanishing Bessel factor")
     norm = (0.5 * (jap ** 2 + (1.0 - nu ** 2 / lam ** 2) * ja ** 2)

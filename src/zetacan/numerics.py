@@ -260,33 +260,36 @@ class ContourSpec:
         if self.truncation_radius <= 1.0:
             raise ValueError("truncation radius too small")
 
-    def panels(self) -> np.ndarray:
-        """Panel edges in arc length r along one ray.
-
-        Geometric growth from length 0.5 at the vertex, capped at length 4
-        so that the phase increment of a log-product between adjacent Gauss
-        nodes stays well below pi, which the branch unwrapping relies on.
-        """
-        edges = [0.0]
-        step = 0.5
-        r = 0.0
-        while r < self.truncation_radius:
-            r = min(r + step, self.truncation_radius)
-            edges.append(r)
-            step = min(step * 1.22, 4.0)
-        return np.asarray(edges)
-
     def ray_nodes(self):
         """Gauss-Legendre nodes/weights on the upper ray, ordered by r."""
-        edges = self.panels()
-        rs, ws = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-            rs.append(mid + half * _GL_NODES)
-            ws.append(half * _GL_WEIGHTS)
-        r = np.concatenate(rs)
-        w = np.concatenate(ws)
+        r, w = _ray_layout(self.truncation_radius)
         return self.c + r * _PHASE, w * _PHASE, r
+
+
+@functools.lru_cache(maxsize=None)
+def _ray_layout(radius: float):
+    """(r, w): Gauss-Legendre nodes and weights in arc length r along one ray
+    of radius ``radius``, shared read-only by every contour of that radius.
+
+    Panels grow geometrically from length 0.5 at the vertex, capped at
+    length 4 so that the phase increment of a log-product between adjacent
+    Gauss nodes stays well below pi, which the branch unwrapping relies on.
+    """
+    edges = [0.0]
+    step = 0.5
+    r = 0.0
+    while r < radius:
+        r = min(r + step, radius)
+        edges.append(r)
+        step = min(step * 1.22, 4.0)
+    rs, ws = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        rs.append(mid + half * _GL_NODES)
+        ws.append(half * _GL_WEIGHTS)
+    r, w = np.concatenate(rs), np.concatenate(ws)
+    r.flags.writeable = w.flags.writeable = False
+    return r, w
 
 
 def _eval_logp(logp_nodes, z: np.ndarray) -> np.ndarray:

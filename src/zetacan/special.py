@@ -8,8 +8,13 @@ order comes from one array-first kernel, ``bessel_j_orders``: a downward
 (Miller) recurrence that yields all orders 0..n at every point of a real or
 complex array in one pass, normalized by the Neumann series (against
 ``cos z`` when the imaginary part is large, where the plain Neumann sum
-would be ill-conditioned).  ``bessel_j``, ``bessel_j_many`` and
-``bessel_j_complex_many`` are thin views of it.
+would be ill-conditioned).  Each real point starts the recurrence at its
+own index and each row of complex points at its row's, so a point's values
+never depend on the other rows of the call, and many contours go through
+one pass.  Running values that pass 1e280 are rescaled point by point: a
+screen on the float view finds the candidates, and only they are tested
+and multiplied.  ``bessel_j``, ``bessel_j_many`` and
+``bessel_j_complex_many`` are thin views of the kernel.
 
 Modified Bessel functions I_n(x) are returned log-scaled, so that cross
 products at large order/argument never overflow: large-argument asymptotics
@@ -241,7 +246,7 @@ def riemann_zeta_prime(s: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Bessel J, real argument
+# Bessel J
 # ----------------------------------------------------------------------
 
 def _miller_start(n_max, xa):
@@ -249,22 +254,55 @@ def _miller_start(n_max, xa):
     return np.maximum(n_max, xa) + 12.0 * xa ** (1.0 / 3.0) + 22
 
 
+def _rescale(k, out, f, fp, *sums):
+    """Multiply f, fp, each of ``sums`` and rows k.. of ``out`` by 1e-280 at
+    the points where |f| > 1e280; returns (f, fp, *sums, bound on |f|,
+    bound on |fp|).
+
+    Arrays are updated in place.  A screen on the float view,
+    |f| <= 1.5 max(|Re f|, |Im f|), picks the candidates, and only those are
+    tested exactly and multiplied, so each point gets the same decision and
+    factor as a rescale of the whole array would give it.
+    """
+    if f.ndim == 0:  # numpy scalars from a 0-d x have no views to write through
+        if abs(f) > 1e280:
+            f, fp, *sums = (a * 1e-280 for a in (f, fp, *sums))
+            out[k:] *= 1e-280
+        return (f, fp, *sums, abs(f), abs(fp))
+    wide = 1.5 if f.dtype.kind == "c" else 1.0
+    mag = np.abs(f.reshape(-1).view(np.float64))
+    hot = np.flatnonzero(mag > 1e280 / wide)
+    if hot.size:
+        if wide > 1.0:
+            # float index -> point index; a repeated index is multiplied once
+            hot >>= 1
+            hot = hot[np.abs(f.reshape(-1)[hot]) > 1e280]
+        for a in (f, fp, *sums):
+            a.reshape(-1)[hot] *= 1e-280
+        out.reshape(out.shape[0], -1)[k:, hot] *= 1e-280
+        mag = np.abs(f.reshape(-1).view(np.float64))
+    return (f, fp, *sums, wide * float(mag.max()),
+            wide * float(np.abs(fp.reshape(-1).view(np.float64)).max()))
+
+
 def bessel_j_orders(n_max, x) -> np.ndarray:
     """J_0 .. J_n_max at every point of ``x``, shape ``(n_max + 1, *x.shape)``.
 
     One downward (Miller) recurrence serves all orders and all points, real
-    or complex; running sums are rescaled by 1e-280 whenever a value passes
-    1e280.  Normalization is the Neumann sum J_0 + 2 sum J_2k = 1, or, for
-    complex points with |Im z| > 1 where that sum cancels exponentially,
-    cos z = J_0 + 2 sum (-1)^k J_2k.  Complex points all start the
-    recurrence at the index set by the largest |z|.  Real points each start
-    at their own index, and ``n_max`` may then be an integer array giving
-    each point's highest order (rows above it are not accurate there), so a
-    real value never depends on the other points of the call.
+    or complex; a point's running sums are rescaled by 1e-280 whenever its
+    value passes 1e280.  Normalization is the Neumann sum J_0 + 2 sum J_2k =
+    1, or, for complex points with |Im z| > 1 where that sum cancels
+    exponentially, cos z = J_0 + 2 sum (-1)^k J_2k.  ``n_max`` may be an
+    integer array broadcast against ``x`` giving each point's highest order
+    (orders above it are not accurate there).  Real points each start the
+    recurrence at their own index.  Complex points start at the index set by
+    the largest |z| and highest order of their row (the last axis; a 1-d
+    array is one row), so a row's values never depend on the other rows.
     """
     x = np.asarray(x)
     cplx = np.iscomplexobj(x)
-    x = x.astype(np.complex128 if cplx else np.float64)
+    # C order, so that the running sums are rescaled in place through flat views
+    x = x.astype(np.complex128 if cplx else np.float64, order="C")
     top = int(np.max(n_max))
     out = np.empty((top + 1,) + x.shape, dtype=x.dtype)
     if x.size == 0:
@@ -273,7 +311,10 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     if zero.any():
         x = np.where(zero, 1.0, x)
     if cplx:
-        start = np.full(x.shape, int(_miller_start(top, max(float(np.max(np.abs(x))), 1.0))))
+        rows = np.atleast_1d(x)
+        xa = np.maximum(np.max(np.abs(rows), axis=-1, keepdims=True), 1.0)
+        tops = np.max(np.broadcast_to(n_max, rows.shape), axis=-1, keepdims=True)
+        start = np.broadcast_to(_miller_start(tops, xa).astype(int), rows.shape).reshape(x.shape)
     else:
         start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
     # points grouped by start index: group g is order[edges[g]:edges[g + 1]]
@@ -303,20 +344,12 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
             neumann = neumann + w
             if cplx:
                 cos_norm = cos_norm + (w if (k // 2) % 2 == 0 else -w)
-        if bound <= 1e280:
-            continue
-        big = np.abs(f) > 1e280
-        if big.any():
-            scale = np.where(big, 1e-280, 1.0)
-            f = f * scale
-            fp = fp * scale
-            neumann = neumann * scale
-            cos_norm = cos_norm * scale
-            out[k:] *= scale
-        bound, bound_p = float(np.max(np.abs(f))), float(np.max(np.abs(fp)))
+        if bound > 1e280:
+            f, fp, neumann, cos_norm, bound, bound_p = _rescale(k, out, f, fp, neumann, cos_norm)
     if cplx:
         use_cos = np.abs(x.imag) > 1.0
-        out = out * np.where(use_cos, np.cos(x), 1.0 + 0.0j) / np.where(use_cos, cos_norm, neumann)
+        out *= np.where(use_cos, np.cos(x), 1.0 + 0.0j)
+        out /= np.where(use_cos, cos_norm, neumann)
     else:
         out /= neumann
     if zero.any():
@@ -338,16 +371,20 @@ def bessel_j(n: int, x: float) -> float:
     return bessel_j_many((n,), x)[int(n)]
 
 
-def bessel_j_complex_many(orders, z: np.ndarray) -> dict:
-    """{n: J_n(z)} for nonnegative integer orders on an array of complex
-    points, from one kernel pass.  This is the rotation backend for
+def bessel_j_complex_many(orders, z: np.ndarray) -> np.ndarray:
+    """J_0 .. J_n on an array of complex points from one kernel pass, as the
+    kernel's table (row k is J_k(z)), n the largest of ``orders``.  For a 1-d
+    ``z``, ``orders`` lists the nonnegative orders needed; for a ``z`` of
+    shape (rows, nodes) it has shape (rows, k), the orders each row needs,
+    and each row's recurrence starts from its own largest order, so a row
+    equals its one-row call bit for bit.  This is the rotation backend for
     modified Bessel functions at complex argument, I_n(z) = i^{-n} J_n(iz).
     """
-    orders = sorted({int(n) for n in orders})
-    if orders[0] < 0:
+    orders = np.asarray(orders, dtype=int)
+    if orders.min() < 0:
         raise SpecialFunctionError("bessel_j_complex_many requires n >= 0")
-    j = bessel_j_orders(orders[-1], np.asarray(z, dtype=np.complex128))
-    return {k: j[k] for k in orders}
+    return bessel_j_orders(orders.max(axis=-1, keepdims=True),
+                           np.asarray(z, dtype=np.complex128))
 
 
 # ----------------------------------------------------------------------

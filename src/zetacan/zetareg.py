@@ -19,12 +19,16 @@ z_m(0) and z_m'(0).  Every constant here is implemented twice: a closed
 expression and a numeric route (profile fits, contour integrals, direct
 summation with tail completion) used for cross-validation.
 
+The contour route samples log p of each order on its wedge once per
+process.  The orders one caller needs for one m are sampled together: one
+zero solve gives every vertex, and the rows of one complex kernel pass give
+the samples, since every contour has the same ray nodes up to its vertex.
+
 Values at 0 are kept in exact rational arithmetic where they are rational.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -62,7 +66,6 @@ __all__ = [
     "dirichlet_neumann_block",
     "spectral_zeta_direct",
     "spectral_zeta_contour",
-    "logp_nodes_for_order",
 ]
 
 _LOG2 = math.log(2.0)
@@ -178,8 +181,9 @@ def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
 # Contour route for single sequences
 # ----------------------------------------------------------------------
 
-def logp_nodes_for_order(nu: int, m: int):
-    """Vectorized evaluator of log p_nu on the upper contour ray.
+def _logp_rows(m: int, nus, z: np.ndarray) -> np.ndarray:
+    """log p_nu at the points z[i] of the upper contour ray, for each canonical
+    order nu = nus[i], from one complex kernel pass over all rows.
 
     p_nu(z) = L_nu(z) / (l_L z^e) is the normalized cross product (its own
     Hadamard factorization over the real zeros), so contour values come
@@ -187,37 +191,59 @@ def logp_nodes_for_order(nu: int, m: int):
     L_nu(iz) = -i^{2 nu - m - 1} G_nu(z) relates l_L to the modified-side
     coefficient l_G > 0 by a sign sigma: -1 on the orders nu >= m+1 and
     (-1)^(nu+m) on the low orders, which the evaluator must carry so that
-    p is positive at the contour vertex (the branch anchor).
+    p is positive at the contour vertex (the branch anchor).  Row i reads
+    J at orders nu, |nu-m-1|, nu+1 and |nu-m|, and its recurrence starts
+    from its own top order nu + 1.
     """
-    nu = max(nu, m - nu)
-    e = small_z_exponent(nu, m)
-    sigma = -1.0 if nu >= m + 1 else (-1.0) ** (nu + m)
-    log_l = math.log(float(small_z_coefficient(nu, m)))
-    raw = (nu, nu - m - 1, nu + 1, nu - m)
-    orders = tuple(sorted({abs(k) for k in raw}))
-
-    def sign_of(k: int) -> float:
-        return -1.0 if (k < 0 and abs(k) % 2) else 1.0
-
-    def f(z: np.ndarray) -> np.ndarray:
-        vals = bessel_j_complex_many(orders, z)
-        j = {k: sign_of(k) * vals[abs(k)] for k in set(raw)}
-        L = -j[nu] * j[nu - m - 1] + j[nu + 1] * j[nu - m]
-        return np.log(sigma * L) - log_l - e * np.log(z)
-
-    return f
+    nu = np.array(nus)
+    raw = np.stack([nu, nu - m - 1, nu + 1, nu - m], axis=1)  # (rows, 4)
+    j = bessel_j_complex_many(np.abs(raw), z)
+    rows = np.arange(len(nus))
+    # J_{-k} = (-1)^k J_k
+    sign = np.where((raw < 0) & (raw % 2 == 1), -1.0, 1.0)[:, :, None]
+    a, b, c, d = (sign[:, i] * j[np.abs(raw[:, i]), rows] for i in range(4))
+    L = -a * b + c * d
+    sigma = np.array([-1.0 if n >= m + 1 else (-1.0) ** (n + m) for n in nus])[:, None]
+    e = np.array([small_z_exponent(n, m) for n in nus])[:, None]
+    log_l = np.array([math.log(float(small_z_coefficient(n, m))) for n in nus])[:, None]
+    return np.log(sigma * L) - log_l - e * np.log(z)
 
 
-@functools.lru_cache(maxsize=None)
-def _contour_samples(nu: int, m: int):
-    """(contour, raw log p_nu at its ray nodes) of one order, sampled once per
-    process and shared read-only by every s and both contour functions.  The
-    wedge's vertex is half the first zero."""
-    lam1 = besselx.zeros(CrossProductSpec(nu, m), 1).zeros[0]
-    contour = ContourSpec(c=0.5 * float(lam1), truncation_radius=240.0)
-    vals = logp_nodes_for_order(nu, m)(contour.ray_nodes()[0])
-    vals.flags.writeable = False
-    return contour, vals
+# (nu, m) -> (contour, raw log p_nu at its ray nodes, read-only), nu canonical
+_CONTOUR_SAMPLES: dict = {}
+# complex kernel points per pass, (top + 1) x rows x nodes: a cap on the
+# J table of one batch (4 MB), so large m runs in several passes
+_BATCH_POINTS = 1 << 18
+
+
+def _contour_samples(m: int, orders) -> list:
+    """[(contour, raw log p_nu at its ray nodes)] for each order of ``orders``,
+    sampled once per process and shared read-only by every s and both
+    contour functions.  A wedge's vertex is half the order's first zero.
+
+    The orders not yet cached are sampled together: one ``zero_sequences``
+    call gives every vertex, and every contour has the same ray nodes up to
+    its vertex, so rows of one (rows, nodes) array go through one complex
+    kernel pass, as many rows at a time as the J table cap allows.
+    """
+    nus = [max(nu, m - nu) for nu in orders]
+    new = sorted(nu for nu in set(nus) if (nu, m) not in _CONTOUR_SAMPLES)
+    if new:
+        contours = [ContourSpec(c=0.5 * float(seq.zeros[0]), truncation_radius=240.0)
+                    for seq in besselx.zero_sequences(m, new, 1)]
+        z = np.array([contour.ray_nodes()[0] for contour in contours])
+        i = 0
+        while i < len(new):
+            # rows i..j-1, whose top order is new[j-1] + 1, within the cap
+            j = i + 1
+            while j < len(new) and (new[j] + 2) * (j + 1 - i) * z.shape[1] <= _BATCH_POINTS:
+                j += 1
+            vals = _logp_rows(m, new[i:j], z[i:j])
+            vals.flags.writeable = False
+            for nu, contour, row in zip(new[i:j], contours[i:j], vals):
+                _CONTOUR_SAMPLES[(nu, m)] = (contour, row)
+            i = j
+    return [_CONTOUR_SAMPLES[(nu, m)] for nu in nus]
 
 
 def _sequence_values(nu: int, m: int, route: str):
@@ -229,7 +255,7 @@ def _sequence_values(nu: int, m: int, route: str):
         prof = fitted_profile(nu, m)
         return zeta_from_profile(prof)
     if route == "contour":
-        contour, vals = _contour_samples(nu, m)
+        (contour, vals), = _contour_samples(m, [nu])
         return mellin_zeta_critical_values(lambda z: vals, contour,
                                            analytic_profile(nu, m))
     raise ValueError(f"unknown route {route!r}")
@@ -366,7 +392,10 @@ def zeta_tail_block(m: int):
 def low_order_sequence_values(m: int, route: str = "closed"):
     """[(nu, weight, zeta_nu(0) exact, zeta_nu'(0))] over the low orders."""
     out = []
-    for nu, weight in besselx.canonical_orders(m, m // 2 + 1):
+    orders = besselx.canonical_orders(m, m // 2 + 1)
+    if route == "contour":
+        _contour_samples(m, [nu for nu, _ in orders])  # every order in one batch
+    for nu, weight in orders:
         z0, z0p = _sequence_values(nu, m, route)
         out.append((nu, weight, Fraction(-(m + 2), 2), z0, z0p))
     return out
@@ -589,8 +618,6 @@ def spectral_zeta_contour(m: int, s: float) -> float:
     """Same object with every per-order value from the contour integral."""
     if s <= 1.0:
         raise ValueError("needs s > 1")
-
-    def order_zeta(nu):
-        contour, vals = _contour_samples(nu, m)
-        return mellin_contour_zeta(lambda z: vals, contour, s)
-    return _spectral_sum(m, s, lambda orders: [order_zeta(nu) for nu in orders])
+    return _spectral_sum(m, s, lambda orders: [
+        mellin_contour_zeta(lambda z: vals, contour, s)
+        for contour, vals in _contour_samples(m, orders)])

@@ -134,9 +134,12 @@ class TestZeroSequences:
         assert np.allclose(seq.zeros, expected, atol=1e-11)
 
     def test_symmetry_of_sequences(self):
-        a = bx.zeros(bx.CrossProductSpec(1, 4), 12).zeros
-        b = bx.zeros(bx.CrossProductSpec(3, 4), 12).zeros
-        assert np.max(np.abs(a - b)) < 1e-12
+        # zeros() canonicalizes (1, 4) to (3, 4), so evaluate the mirror
+        # order's own L_1 at the zeros solved for L_3; L_2 there is not small
+        seq = bx.zeros(bx.CrossProductSpec(1, 4), 12)
+        assert seq.spec.n == 3
+        assert np.max(np.abs(bx.cross_L(1, 4, seq.zeros)) / seq.local_scales) < 1e-10
+        assert np.min(np.abs(bx.cross_L(2, 4, seq.zeros)) / seq.local_scales) > 1e-3
 
     def test_lower_bound_on_first_zero(self):
         for m in (1, 2, 3):
@@ -269,6 +272,16 @@ class TestEigenNorm:
                 lhs, rhs = bx.eigen_norm_check(nu, m, float(lam))
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_array_equals_scalar_calls(self, m):
+        nu = m + 2
+        lam = bx.zeros(bx.CrossProductSpec(nu, m), 10).zeros
+        lam = lam[np.abs(bessel_j_many((nu,), lam)[nu]) >= 1e-8]
+        lhs, rhs = bx.eigen_norm_check(nu, m, lam)
+        assert lhs.shape == rhs.shape == lam.shape
+        for i, x in enumerate(lam):
+            assert bx.eigen_norm_check(nu, m, float(x)) == (lhs[i], rhs[i])
 
     def test_norm_integral_closed_form(self):
         # int_0^1 x J_n(a x)^2 dx = (1/2) J_n'(a)^2 at a = j_{n,1}

@@ -119,15 +119,15 @@ class TestExitCodes:
     def test_non_finite_contour_exits_3(self, monkeypatch, capsys):
         from zetacan import zetareg
 
-        def nan_logp(nu, m):
-            return lambda z: np.full(z.shape, np.nan + 0j)
+        def nan_logp(m, nus, z):
+            return np.full(z.shape, np.nan + 0j)
 
-        monkeypatch.setattr(zetareg, "logp_nodes_for_order", nan_logp)
-        zetareg._contour_samples.cache_clear()
+        monkeypatch.setattr(zetareg, "_logp_rows", nan_logp)
+        zetareg._CONTOUR_SAMPLES.clear()
         try:
             code = cli.main(["zeta", "--m", "1", "--route", "contour"])
         finally:
-            zetareg._contour_samples.cache_clear()
+            zetareg._CONTOUR_SAMPLES.clear()
         assert code == 3
         assert capsys.readouterr().err.startswith("numerical failure: ")
 

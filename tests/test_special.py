@@ -198,6 +198,77 @@ class TestKernel:
                 assert np.array_equal(got, d[f"j_{key}"]), key
 
 
+class TestComplexBatch:
+    """Rows of one complex kernel pass, each with its own top order."""
+
+    def test_rows_equal_their_solo_calls(self):
+        # rows of the contour shape c + r e^{i pi/8}; the short ones keep
+        # every |z| near 1, where max(|z|, 1) sets the start
+        r = np.linspace(0.0, 1.0, 301) * np.exp(1j * math.pi / 8.0)
+        rows = [(0.5, 240.0, (0, 1)), (0.98, 0.02, (3, 5)), (1.0, 0.05, (17, 2)),
+                (1.02, 0.0, (1, 40)), (3.7, 120.0, (8, 9)), (12.0, 240.0, (60, 61))]
+        z = np.array([c + length * r for c, length, _ in rows])
+        orders = np.array([o for *_, o in rows])
+        batch = sp.bessel_j_complex_many(orders, z)
+        assert batch.shape == (62, len(rows), r.size)
+        for i, o in enumerate(orders):
+            solo = sp.bessel_j_complex_many(o, z[i])
+            assert np.array_equal(batch[:max(o) + 1, i], solo), i
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(sp.SpecialFunctionError):
+            sp.bessel_j_complex_many((0, -1), np.array([1.0 + 1.0j]))
+
+
+def _full_rescale(k, out, f, *sums):
+    """The whole-array rescale the kernel used before: every point multiplied
+    by its factor, 1e-280 or 1."""
+    scale = np.where(np.abs(f) > 1e280, 1e-280, 1.0)
+    out[k:] *= scale
+    return tuple(a * scale for a in (f, *sums))
+
+
+class TestSparseRescale:
+    """_rescale touches only the points that overflow, with the factors and
+    decisions of the whole-array rescale."""
+
+    @staticmethod
+    def _inputs(rng, cplx, shape):
+        mag = 10.0 ** rng.uniform(275.0, 285.0, shape)
+        if not cplx:
+            return mag * rng.choice([-1.0, 1.0], shape)
+        f = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
+        # points whose parts both stay below 1e280 while |f| passes it, and
+        # points just below and just above the threshold on the axes
+        f.flat[:4] = [0.75e280 * (1 + 1j), 0.7e280 * (1 - 1j), 0.99e280j, -1.01e280]
+        return f
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    @pytest.mark.parametrize("shape", [(300,), (6, 50)])
+    def test_equals_whole_array_rescale(self, cplx, shape):
+        rng = np.random.default_rng(7)
+        f, fp, s1, s2 = (self._inputs(rng, cplx, shape) for _ in range(4))
+        out = np.stack([self._inputs(rng, cplx, shape) for _ in range(9)])
+        for k in (0, 4, 8):
+            want_out = out.copy()
+            want = _full_rescale(k, want_out, f, fp, s1, s2)
+            got_out = out.copy()
+            *got, bound, bound_p = sp._rescale(k, got_out, f.copy(), fp.copy(),
+                                               s1.copy(), s2.copy())
+            assert 0 < np.sum(np.abs(f) > 1e280) < f.size
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+            assert np.array_equal(got_out, want_out)
+            assert np.max(np.abs(got[0])) <= bound and np.max(np.abs(got[1])) <= bound_p
+
+    def test_scalar(self):
+        out = np.full(5, 3e290)
+        f, fp, s, bound, bound_p = sp._rescale(2, out, np.float64(2e285),
+                                               np.float64(1e284), np.float64(5.0))
+        assert (f, fp, s) == (2e285 * 1e-280, 1e284 * 1e-280, 5.0 * 1e-280)
+        assert list(out) == [3e290, 3e290] + [3e290 * 1e-280] * 3
+        assert (bound, bound_p) == (abs(f), abs(fp))
+
+
 class TestBesselILog:
     def test_small_x_leading_term(self):
         for n in (0, 2, 7):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zetacan import zetareg as zr
@@ -245,17 +246,36 @@ class TestSpectralSums:
 
 
 class TestContourSampleCache:
-    def test_cold_and_warm_agree(self):
-        zr._contour_samples.cache_clear()
+    def test_cold_and_warm_agree(self, monkeypatch):
+        zr._CONTOUR_SAMPLES.clear()
         cold = zr.spectral_zeta_contour(1, 1.5)
-        hits = zr._contour_samples.cache_info().hits
+        cached = dict(zr._CONTOUR_SAMPLES)
+        monkeypatch.setattr(zr, "_logp_rows", None)  # a warm call samples nothing
         warm = zr.spectral_zeta_contour(1, 1.5)
-        assert zr._contour_samples.cache_info().hits > hits
+        assert zr._CONTOUR_SAMPLES.keys() == cached.keys()
+        assert all(zr._CONTOUR_SAMPLES[k] is v for k, v in cached.items())
         assert warm == cold
 
     def test_cached_samples_are_read_only(self):
-        contour, vals = zr._contour_samples(0, 1)
+        (contour, vals), = zr._contour_samples(1, [0])
         assert not vals.flags.writeable
         assert len(vals) == len(contour.ray_nodes()[0])
         with pytest.raises(ValueError):
             vals[0] = 0.0
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_batches_equal_one_order_samples(self, m, monkeypatch):
+        # one batch, batches cut to three rows, and one order at a time all
+        # give the same contours and samples, bit for bit
+        orders = list(range(m // 2, m + 6))
+        runs = []
+        for cap in (zr._BATCH_POINTS, 3 * (m + 8) * 1072, 0):
+            monkeypatch.setattr(zr, "_BATCH_POINTS", cap)
+            zr._CONTOUR_SAMPLES.clear()
+            runs.append(zr._contour_samples(m, orders))
+        zr._CONTOUR_SAMPLES.clear()
+        runs.append([zr._contour_samples(m, [nu])[0] for nu in orders])
+        zr._CONTOUR_SAMPLES.clear()
+        for run in runs[1:]:
+            for (c0, v0), (c1, v1) in zip(runs[0], run):
+                assert c0 == c1 and np.array_equal(v0, v1)
