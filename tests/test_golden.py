@@ -3,11 +3,12 @@ cross-checks) and torsion reports, and the verify verdicts.
 
 ``golden/reports.json`` holds stdout, exit code and the stderr error class
 ("configuration error", "numerical failure") of ``zeta --m M
---check-routes profile,contour`` and ``torsion --m M`` for M in
-{0, 1, 6, 17, 24, 40, 58, 59}, captured from the CLI before the J kernel
-and zero solvers were rewritten.  The known failure (profile not certified
-from M = 24) must keep failing the same way, and every reported value must
-stay where it was.  ``torsion --m 59`` overflowed until the torsion
+--check-routes profile,contour`` for every M in 0..64 and of ``torsion --m
+M`` for M in {0, 1, 6, 17, 24, 40, 58, 59}.  The entries for those eight M
+were captured from the CLI before the J kernel and zero solvers were
+rewritten, the other zeta entries before the modified Bessel I side took
+arrays.  The known failure (profile not certified from M = 24) must keep
+failing the same way, and every reported value must stay where it was.  ``torsion --m 59`` overflowed until the torsion
 integrals moved onto [0, 1]; its entry holds the report it prints since.
 
 ``golden/spectrum_m{M}.{csv,json}`` hold the exact stdout of ``spectrum --m M
