@@ -16,7 +16,9 @@ brackets used here: every gap is fine-scanned, so a missed sign change
 cannot silently drop a zero.  ``zero_sequences`` solves all the orders a
 caller asks for in one lockstep pass: one kernel pass probes every order's
 gaps, one Newton solve on the analytic derivative of L_n polishes every
-bracket, and one pass takes the residuals.
+bracket, and one pass takes the residuals.  Cross products take arrays of
+points: L_n reads its J orders, negative ones too, from one kernel table,
+and log G_n its four I orders from one ``bessel_i_log`` call.
 
 Bessel zeros themselves are generated internally, all orders of a table at
 once: sign changes of one kernel pass over a unit grid bracket them, one
@@ -34,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import BracketError, newton_brackets
-from .special import bessel_j, bessel_j_orders
+from .special import _j_signed, _log, bessel_i_log, bessel_j, bessel_j_orders
 
 __all__ = [
     "CrossProductSpec",
@@ -42,7 +44,6 @@ __all__ = [
     "SpectrumEntry",
     "Spectrum",
     "bessel_j_zeros",
-    "bessel_jp_zeros",
     "cross_L",
     "cross_L_prime",
     "cross_G_log",
@@ -125,10 +126,9 @@ def _j_pair(kind: str, n: np.ndarray, x: np.ndarray):
     J_n' = (J_{n-1} - J_{n+1}) / 2 and J_n'' = -J_n'/x - (1 - n^2/x^2) J_n
     (Bessel's equation); each point's kernel pass stops at its own order n + 1.
     """
-    j = bessel_j_orders(n + 1, x)
-    i = np.arange(x.size)
-    jn = j[n, i]
-    d = 0.5 * (np.where(n > 0, 1.0, -1.0) * j[np.abs(n - 1), i] - j[n + 1, i])
+    jm, jn, jp = _j_signed(bessel_j_orders(n + 1, x), n + np.array([[-1], [0], [1]]),
+                           np.arange(x.size))
+    d = 0.5 * (jm - jp)
     if kind == "j":
         return jn, d
     return d, -d / x - (1.0 - (n / x) ** 2) * jn
@@ -197,27 +197,20 @@ def bessel_j_zeros(order: int, count: int) -> np.ndarray:
     return _zero_table("j", order, count)
 
 
-def bessel_jp_zeros(order: int, count: int) -> np.ndarray:
-    """First ``count`` positive zeros of J_order' (for order 0, the J_1 zeros)."""
-    return _zero_table("jp", order, count)
-
-
 # ----------------------------------------------------------------------
 # Cross products
 # ----------------------------------------------------------------------
 
 def _j_and_prime(n, offsets, top, x):
     """[(J_k(x), J_k'(x)) for k = n + o, o in offsets] from one kernel pass,
-    J_k' = (J_{k-1} - J_{k+1})/2 and J_{-k} = (-1)^k J_k.  x is a scalar or an
+    J_k' = (J_{k-1} - J_{k+1})/2, negative orders included.  x is a scalar or an
     array; n and ``top``, the highest order a point needs, are integers or
     integer arrays broadcast against x.  A point's pass stops at its own top,
     so its values never depend on the other points of the call."""
     x, n, top = np.broadcast_arrays(np.asarray(x, dtype=float), n, top)
     j = bessel_j_orders(top.ravel(), x.ravel())
     offs = sorted({o + d for o in offsets for d in (-1, 0, 1)})
-    q = n.ravel() + np.array(offs)[:, None]  # the orders read, one row per offset
-    v = j[np.abs(q), np.arange(x.size)]
-    v = np.where((q < 0) & (q % 2 == 1), -v, v)
+    v = _j_signed(j, n.ravel() + np.array(offs)[:, None], np.arange(x.size))
     J = {o: row.reshape(x.shape)[()] for o, row in zip(offs, v)}
     return [(J[o], 0.5 * (J[o - 1] - J[o + 1])) for o in offsets]
 
@@ -241,18 +234,13 @@ def cross_L_prime(n: int, m: int, x):
     return _cross_L_pair(n, m, x)[1]
 
 
-def cross_G_log(n: int, m: int, x: float):
-    """(log G_n(x), sign) with G_n = I_{n+1} I_{n-m} + I_n I_{n-m-1}, x > 0.
-
-    All modified Bessel factors are positive for integer order, so the sign
-    is +1; the two products are combined in log space.
-    """
-    from .special import bessel_i_log
-
-    la = bessel_i_log(abs(n + 1), x)[0] + bessel_i_log(abs(n - m), x)[0]
-    lb = bessel_i_log(abs(n), x)[0] + bessel_i_log(abs(n - m - 1), x)[0]
-    hi, lo = (la, lb) if la >= lb else (lb, la)
-    return hi + math.log1p(math.exp(lo - hi)), 1
+def cross_G_log(n: int, m: int, x):
+    """log G_n(x), G_n = I_{n+1} I_{n-m} + I_n I_{n-m-1}, at x > 0 (scalar or
+    array).  Every factor is positive for integer order: the four orders
+    come from one ``bessel_i_log`` call, the two products add in log space."""
+    x = np.asarray(x, dtype=float)
+    a, b, c, d = bessel_i_log(np.reshape([n + 1, n - m, n, n - m - 1], (4,) + (1,) * x.ndim), x)
+    return np.logaddexp(a + b, c + d)
 
 
 def small_z_exponent(n: int, m: int) -> int:
@@ -273,7 +261,7 @@ def small_z_coefficient(n: int, m: int) -> Fraction:
     return num / (2 ** (m + 1) * math.factorial(n + 1) * math.factorial(m + 1 - n))
 
 
-def cross_G_norm_log(n: int, m: int, x: float) -> float:
+def cross_G_norm_log(n: int, m: int, x):
     """log of G_n(x) / (l x^e): the normalized product prod (1 + x^2/lambda_k^2).
 
     Minus this function has the asymptotic profile whose (a, b) encode
@@ -281,7 +269,7 @@ def cross_G_norm_log(n: int, m: int, x: float) -> float:
     """
     e = small_z_exponent(n, m)
     l = small_z_coefficient(n, m)
-    return cross_G_log(n, m, x)[0] - math.log(float(l)) - e * math.log(x)
+    return cross_G_log(n, m, x) - math.log(float(l)) - e * _log(x)
 
 
 # ----------------------------------------------------------------------

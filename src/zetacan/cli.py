@@ -86,7 +86,7 @@ def cmd_spectrum(args) -> int:
             "m": args.m,
             "n_orders": args.n_max,
             "k_max": args.k_max,
-            "zero_mode_multiplicity": args.m + 1,
+            "zero_mode_multiplicity": spectrum.zero_mode_multiplicity,
             "entries": [
                 {"eigenvalue": e.eigenvalue, "n": e.order, "k": e.k, "lambda": e.lam,
                  "multiplicity": e.multiplicity, "residual": e.residual}

@@ -184,7 +184,7 @@ def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
                            inverse_degree: int = 4) -> AsymptoticProfile:
     """Least-squares fit of g(z) against {z, log z^2, 1, 1/z, ..., z^-deg}.
 
-    g is evaluated on a log-spaced grid of the window.  The basis carries
+    g is called once, on the whole log-spaced grid of the window.  The basis carries
     inverse powers beyond the reported c1/c2 so that the O(1/z^3) model
     error of typical Bessel log-products does not bias the constant term.
     The max-abs residual over the grid is stored on the profile, whose
@@ -193,7 +193,7 @@ def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
     if not (0.0 < z_min < z_max):
         raise ValueError("require 0 < z_min < z_max")
     z = np.geomspace(z_min, z_max, n_nodes)
-    vals = np.asarray([g(float(x)) for x in z], dtype=float)
+    vals = np.broadcast_to(np.asarray(g(z), dtype=float), z.shape)
     basis = _profile_basis(z, inverse_degree)
     scale = np.max(np.abs(basis), axis=0)
     coef, *_ = np.linalg.lstsq(basis / scale, vals, rcond=None)

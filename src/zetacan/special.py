@@ -3,23 +3,20 @@ s-derivatives, Bessel J of integer order, and log-scaled Bessel I.
 
 Everything here is a pure function of its arguments.  Hurwitz zeta, its
 s-derivative and digamma come from one Euler-Maclaurin form; Riemann zeta
-values for s < -1/2 go through the functional equation.  Bessel J of integer
-order comes from one array-first kernel, ``bessel_j_orders``: a downward
-(Miller) recurrence that yields all orders 0..n at every point of a real or
-complex array in one pass, normalized by the Neumann series (against
-``cos z`` when the imaginary part is large, where the plain Neumann sum
-would be ill-conditioned).  Each real point starts the recurrence at its
-own index and each row of complex points at its row's, so a point's values
-never depend on the other rows of the call, and many contours go through
-one pass.  Running values that pass 1e280 are rescaled point by point: a
-screen on the float view finds the candidates, and only they are tested
-and multiplied.  ``bessel_j``, ``bessel_j_many`` and
-``bessel_j_complex_many`` are thin views of the kernel.
+values for s < -1/2 go through the functional equation.
 
-Modified Bessel functions I_n(x) are returned log-scaled, so that cross
-products at large order/argument never overflow: large-argument asymptotics
-(https://dlmf.nist.gov/10.40) once x >= max(35, 1.2 n^2), where that series
-decays, and the power series below.
+The Bessel layer is array-first.  ``bessel_j_orders`` yields J_0 .. J_n at
+every point of a real or complex array from one downward (Miller)
+recurrence, normalized by the Neumann series (against ``cos z`` where the
+imaginary part is large).  A point's values never depend on the other rows
+of the call, so many contours go through one pass.  ``bessel_j``,
+``bessel_j_many`` and ``bessel_j_complex_many`` are thin views of its
+table, and ``_j_signed`` is the one reader of negative orders in it.
+``bessel_i_log`` gives log I_n(x) for orders and points broadcast together,
+so that cross products at large order/argument never overflow:
+large-argument asymptotics (https://dlmf.nist.gov/10.40) where x >= max(35,
+1.2 n^2), the power series elsewhere, each point taking the steps a
+one-point call would.
 """
 
 from __future__ import annotations
@@ -358,12 +355,21 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     return out
 
 
+def _j_signed(j, q, *points) -> np.ndarray:
+    """J_q read from the kernel table ``j`` (row k is J_k) at signed orders q,
+    by J_{-k} = (-1)^k J_k; q and the index arrays ``points`` into the other
+    axes of ``j`` broadcast together."""
+    v = j[(np.abs(q),) + points]  # a copy: advanced indexing
+    return np.negative(v, out=v, where=(q < 0) & (q % 2 == 1))
+
+
 def bessel_j_many(orders, x) -> dict:
-    """{n: J_n(x)} for integer orders (J_{-n} = (-1)^n J_n) from one kernel
+    """{n: J_n(x)} for integer orders, negative ones too, from one kernel
     pass; ``x`` is a real scalar or array."""
-    orders = [int(n) for n in orders]
-    j = bessel_j_orders(max(abs(n) for n in orders), np.asarray(x, dtype=float))
-    return {n: -j[-n] if n < 0 and n % 2 else j[abs(n)] for n in orders}
+    x = np.asarray(x, dtype=float)
+    q = np.array([int(n) for n in orders])
+    v = _j_signed(bessel_j_orders(int(np.abs(q).max()), x.ravel()), q[:, None], np.arange(x.size))
+    return {n: row.reshape(x.shape)[()] for n, row in zip(q.tolist(), v)}
 
 
 def bessel_j(n: int, x: float) -> float:
@@ -391,57 +397,63 @@ def bessel_j_complex_many(orders, z: np.ndarray) -> np.ndarray:
 # Modified Bessel I, log-scaled
 # ----------------------------------------------------------------------
 
-def _series_i_log(n: int, x: float) -> float:
-    # n >= 0, x > 0. All terms positive: no cancellation at any x; occasional
-    # rescale keeps the running sum inside double range.
-    lt0 = n * math.log(0.5 * x) - math.lgamma(n + 1.0)
+# libm's log point by point: numpy's own log can differ from it in the last bit
+_log = np.vectorize(math.log, otypes=[float])
+
+
+def _series_i_log(n: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # n >= 0, x > 0, 1-d arrays of one length.  All terms positive: no
+    # cancellation at any x.  Each point stops on its own rule and rescales
+    # its own running sum, so it gets the bits a one-point call gives it.
+    lt0 = n * _log(0.5 * x) - np.array([math.lgamma(k + 1.0) for k in n.tolist()])
     q = 0.25 * x * x
-    t = 1.0
-    acc = 1.0
-    shift = 0.0
+    t, acc, shift = np.ones_like(x), np.ones_like(x), np.zeros_like(x)
+    live = np.ones(x.shape, dtype=bool)
     r = 0
-    while True:
+    while live.any():
         r += 1
-        t *= q / (r * (n + r))
-        acc += t
-        if t < 1e-18 * acc and r > 3:
-            break
-        if acc > 1e280:
-            acc *= 1e-280
-            t *= 1e-280
-            shift += 280.0 * math.log(10.0)
+        t = np.where(live, t * (q / (r * (n + r))), t)
+        acc = np.where(live, acc + t, acc)
+        live &= (r <= 3) | (t >= 1e-18 * acc)
+        hot = live & (acc > 1e280)
+        if hot.any():
+            acc[hot] *= 1e-280
+            t[hot] *= 1e-280
+            shift[hot] += 280.0 * math.log(10.0)
         if r > 200000:  # pragma: no cover
             raise SpecialFunctionError("I series did not converge")
-    return lt0 + math.log(acc) + shift
+    return lt0 + _log(acc) + shift
 
 
-def _asymptotic_i_log(n: int, x: float) -> float:
+def _asymptotic_i_log(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # DLMF 10.40.1; requires x somewhat beyond n^2/2 so the series decays.
+    # Each point stops where its terms stop decaying or fall below 1e-19.
     mu = 4.0 * n * n
-    term = 1.0
-    acc = 1.0
-    prev = abs(term)
+    term, acc, prev = np.ones((3,) + x.shape)
+    live = np.ones(x.shape, dtype=bool)
     for k in range(1, 30):
-        term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(term) >= prev:
+        term = term * (-(mu - (2 * k - 1) ** 2) / (8.0 * k * x))
+        live &= np.abs(term) < prev
+        acc = np.where(live, acc + term, acc)
+        prev = np.abs(term)
+        live &= np.abs(term) >= 1e-19 * acc
+        if not live.any():
             break
-        acc += term
-        prev = abs(term)
-        if abs(term) < 1e-19 * acc:
-            break
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(acc)
+    return x - 0.5 * _log(2.0 * math.pi * x) + _log(acc)
 
 
-def bessel_i_log(n: int, x: float):
-    """(log I_n(x), sign) for x > 0; sign is always +1 for integer order.
+def bessel_i_log(n, x):
+    """log I_n(x) for integer orders n and x > 0, broadcast against each other.
 
-    Large-argument asymptotics once that series actually decays,
-    x >= max(35, 1.2 n^2); the power series (all terms positive) below.
-    The log scaling never overflows for x <= 1e5.
+    Large-argument asymptotics at the points where that series actually
+    decays, x >= max(35, 1.2 n^2); the power series (all terms positive) at
+    the others.  The log scaling never overflows for x <= 1e5.
     """
-    n = abs(int(n))
-    if x <= 0.0:
+    n, x = np.broadcast_arrays(np.abs(np.asarray(n, dtype=int)), np.asarray(x, dtype=float))
+    if np.any(x <= 0.0):
         raise SpecialFunctionError("bessel_i_log requires x > 0")
-    if x >= max(35.0, 1.2 * n * n):
-        return _asymptotic_i_log(n, x), 1
-    return _series_i_log(n, x), 1
+    big = x >= np.maximum(35.0, 1.2 * n * n)
+    out = np.empty(x.shape)
+    out[big] = _asymptotic_i_log(n[big], x[big])
+    out[~big] = _series_i_log(n[~big], x[~big])
+    return out[()]

@@ -15,8 +15,9 @@ from .besselx import CrossProductSpec
 from .numerics import (ContourSpec, adaptive_quad, mellin_contour_zeta,
                        mellin_zeta_critical_values, AsymptoticProfile,
                        fit_asymptotic_profile, zero_tail_sum)
-from .special import (EULER_GAMMA, bessel_i_log, bessel_j, bessel_j_many,
-                      riemann_zeta, riemann_zeta_prime, stirling_remainder_r2_sum)
+from .special import (EULER_GAMMA, _asymptotic_i_log, _series_i_log, bessel_i_log,
+                      bessel_j, bessel_j_many, riemann_zeta, riemann_zeta_prime,
+                      stirling_remainder_r2_sum)
 
 __all__ = ["CheckResult", "SUITES", "run_suite", "format_results"]
 
@@ -191,8 +192,8 @@ def suite_routes():
     out = []
     # classical sine product through both numeric routes
     prof_fit = fit_asymptotic_profile(
-        lambda z: -(math.pi * z + math.log1p(-math.exp(-2.0 * math.pi * z))
-                    - math.log(2.0 * math.pi * z)), 30.0, 300.0)
+        lambda z: -(math.pi * z + np.log1p(-np.exp(-2.0 * math.pi * z))
+                    - np.log(2.0 * math.pi * z)), 30.0, 300.0)
     z0, z0p = zetareg.zeta_from_profile(prof_fit)
     out.append(_check("routes: sine profile zeta(0) = -1/2", z0, -0.5, 1e-8))
     out.append(_check("routes: sine profile zeta'(0) = -log 2pi", z0p,
@@ -301,40 +302,31 @@ def suite_bessel():
     out = []
     # derivative identities B2/B4 on a log-spaced grid
     worst = 0.0
+    x = np.geomspace(0.5, 80.0, 25)
     for n in (0, 1, 4, 9):
-        for x in np.geomspace(0.5, 80.0, 25):
-            v = bessel_j_many((n - 1, n, n + 1), float(x))
-            d1 = v[n - 1] - (n / x) * v[n]
-            d2 = (n / x) * v[n] - v[n + 1]
-            worst = max(worst, abs(d1 - d2))
+        v = bessel_j_many((n - 1, n, n + 1), x)
+        d1 = v[n - 1] - (n / x) * v[n]
+        d2 = (n / x) * v[n] - v[n + 1]
+        worst = max(worst, float(np.max(np.abs(d1 - d2))))
     out.append(_check_true("bessel: recurrence derivative identities (1e-10)",
                            worst <= 1e-10, f"worst={worst:.3e}"))
     worst = 0.0
+    x, h = np.array([1.7, 9.3, 33.0]), 1e-5
     for n in (0, 2, 5):
-        for x in (1.7, 9.3, 33.0):
-            h = 1e-5
-            fd = (bessel_j(n, x + h) - bessel_j(n, x - h)) / (2.0 * h)
-            v = bessel_j_many((n - 1, n), x)
-            worst = max(worst, abs(fd - (v[n - 1] - (n / x) * v[n])))
+        fd = (bessel_j(n, x + h) - bessel_j(n, x - h)) / (2.0 * h)
+        v = bessel_j_many((n - 1, n), x)
+        worst = max(worst, float(np.max(np.abs(fd - (v[n - 1] - (n / x) * v[n])))))
     out.append(_check_true("bessel: finite differences vs recurrence (1e-6)",
                            worst <= 1e-6, f"worst={worst:.3e}"))
     # series vs large-argument overlap band for I_n
-    from .special import _asymptotic_i_log, _series_i_log
-
-    worst = 0.0
-    for n in (0, 1, 3):
-        for x in (35.0, 60.0, 120.0):
-            worst = max(worst, abs(_series_i_log(n, x) - _asymptotic_i_log(n, x)))
+    n, x = np.repeat([0, 1, 3], 3), np.tile([35.0, 60.0, 120.0], 3)
+    worst = float(np.max(np.abs(_series_i_log(n, x) - _asymptotic_i_log(n, x))))
     out.append(_check_true("bessel: I series vs large-argument overlap (1e-9)",
                            worst <= 1e-9, f"worst={worst:.3e}"))
     # recurrence residual for I
-    worst = 0.0
-    for n in (1, 3, 6):
-        for x in (0.7, 5.0, 40.0):
-            ia = math.exp(bessel_i_log(n - 1, x)[0])
-            ib = math.exp(bessel_i_log(n + 1, x)[0])
-            ic = math.exp(bessel_i_log(n, x)[0])
-            worst = max(worst, abs(ia - ib - (2.0 * n / x) * ic) / max(ia, 1.0))
+    n, x = np.array([[1], [3], [6]]), np.array([0.7, 5.0, 40.0])
+    ia, ib, ic = np.exp(bessel_i_log(np.stack([n - 1, n + 1, n]), x))
+    worst = float(np.max(np.abs(ia - ib - (2.0 * n / x) * ic) / np.maximum(ia, 1.0)))
     out.append(_check_true("bessel: I recurrence residual (1e-10)",
                            worst <= 1e-10, f"worst={worst:.3e}"))
     return out

@@ -40,9 +40,10 @@ from .besselx import CrossProductSpec, cross_G_norm_log, small_z_coefficient, sm
 from .numerics import (AsymptoticProfile, ContourSpec, FitError,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
-from .special import (EULER_GAMMA, bessel_i_log, bessel_j_complex_many,
-                      hurwitz_zeta, hurwitz_zeta_prime, log_gamma, riemann_zeta,
-                      riemann_zeta_prime, stirling_remainder_r2_sum)
+from .special import (EULER_GAMMA, _j_signed, _log, bessel_i_log,
+                      bessel_j_complex_many, hurwitz_zeta, hurwitz_zeta_prime,
+                      log_gamma, riemann_zeta, riemann_zeta_prime,
+                      stirling_remainder_r2_sum)
 
 __all__ = [
     "FamilyComponents",
@@ -196,12 +197,10 @@ def _logp_rows(m: int, nus, z: np.ndarray) -> np.ndarray:
     from its own top order nu + 1.
     """
     nu = np.array(nus)
-    raw = np.stack([nu, nu - m - 1, nu + 1, nu - m], axis=1)  # (rows, 4)
-    j = bessel_j_complex_many(np.abs(raw), z)
-    rows = np.arange(len(nus))
-    # J_{-k} = (-1)^k J_k
-    sign = np.where((raw < 0) & (raw % 2 == 1), -1.0, 1.0)[:, :, None]
-    a, b, c, d = (sign[:, i] * j[np.abs(raw[:, i]), rows] for i in range(4))
+    raw = np.stack([nu, nu - m - 1, nu + 1, nu - m])  # (4, rows)
+    j = bessel_j_complex_many(np.abs(raw.T), z)
+    a, b, c, d = _j_signed(j, raw[:, :, None], np.arange(len(nus))[:, None],
+                           np.arange(z.shape[1]))
     L = -a * b + c * d
     sigma = np.array([-1.0 if n >= m + 1 else (-1.0) ** (n + m) for n in nus])[:, None]
     e = np.array([small_z_exponent(n, m) for n in nus])[:, None]
@@ -483,7 +482,7 @@ def _j0_sequence_values(route: str):
         return -0.25, -0.5 * _LOG2PI
     if route == "numeric":
         prof = fit_asymptotic_profile(
-            lambda z: -bessel_i_log(0, z)[0], 60.0, 600.0, n_nodes=160)
+            lambda z: -bessel_i_log(0, z), 60.0, 600.0, n_nodes=160)
         return zeta_from_profile(prof)
     raise ValueError(route)
 
@@ -494,7 +493,7 @@ def _j0p_sequence_values(route: str):
         return -0.75, 0.5 * _LOG2 - 0.5 * _LOGPI
     if route == "numeric":
         prof = fit_asymptotic_profile(
-            lambda z: -(bessel_i_log(1, z)[0] + _LOG2 - math.log(z)), 60.0, 600.0,
+            lambda z: -(bessel_i_log(1, z) + _LOG2 - _log(z)), 60.0, 600.0,
             n_nodes=160)
         return zeta_from_profile(prof)
     raise ValueError(route)
@@ -603,15 +602,23 @@ def _spectral_sum(m: int, s: float, order_zetas) -> float:
     return 4.0 ** s * total
 
 
+# m -> the first 60 zeros of each order _spectral_sum reads, read-only
+_DIRECT_ZEROS: dict = {}
+
+
 def spectral_zeta_direct(m: int, s: float) -> float:
     """zeta(s) = 4^s z_m(s) from 60 certified zeros per order plus k- and
-    n-tails, s > 1; every order's zeros come from one lockstep solve."""
+    n-tails, s > 1; one lockstep solve per m and process serves every s."""
     if s <= 1.0:
         raise ValueError("direct spectral sum needs s > 1")
-    return _spectral_sum(m, s, lambda orders: [
-        float(np.sum(seq.zeros ** (-2.0 * s)))
-        + zero_tail_sum(seq.zeros, 60, s, slope=math.pi / 2.0)
-        for seq in besselx.zero_sequences(m, orders, 60)])
+
+    def order_zetas(orders):
+        if m not in _DIRECT_ZEROS:
+            _DIRECT_ZEROS[m] = np.array([seq.zeros for seq in besselx.zero_sequences(m, orders, 60)])
+            _DIRECT_ZEROS[m].flags.writeable = False
+        return [float(np.sum(lam ** (-2.0 * s))) + zero_tail_sum(lam, 60, s, slope=math.pi / 2.0)
+                for lam in _DIRECT_ZEROS[m]]
+    return _spectral_sum(m, s, order_zetas)
 
 
 def spectral_zeta_contour(m: int, s: float) -> float:

@@ -115,8 +115,8 @@ def test_criterion_5_spectral_correctness():
 
 def test_criterion_6_regularization_engine():
     # sine product: zeta(0) = -1/2, zeta'(0) = -log 2pi via both routes
-    g = lambda z: -(math.pi * z + math.log1p(-math.exp(-2.0 * math.pi * z))
-                    - math.log(2.0 * math.pi * z))
+    g = lambda z: -(math.pi * z + np.log1p(-np.exp(-2.0 * math.pi * z))
+                    - np.log(2.0 * math.pi * z))
     prof = fit_asymptotic_profile(g, 30.0, 300.0)
     z0, z0p = zetareg.zeta_from_profile(prof)
     assert abs(z0 + 0.5) <= 1e-8 and abs(z0p + LOG2PI) <= 1e-8

@@ -130,8 +130,8 @@ class TestZeroTails:
 
 class TestProfileFit:
     def test_sinh_profile(self):
-        g = lambda z: (math.pi * z + math.log1p(-math.exp(-2.0 * math.pi * z))
-                       - math.log(2.0 * math.pi * z))
+        g = lambda z: (math.pi * z + np.log1p(-np.exp(-2.0 * math.pi * z))
+                       - np.log(2.0 * math.pi * z))
         prof = num.fit_asymptotic_profile(g, 30.0, 300.0)
         assert prof.d == pytest.approx(math.pi, abs=1e-10)
         assert prof.a == pytest.approx(-0.5, abs=1e-9)
@@ -150,8 +150,8 @@ class TestProfileFit:
     @settings(max_examples=25, deadline=None)
     def test_additivity(self, d, a, b, c1):
         # profile of a product sequence = sum of profiles
-        g1 = lambda z: d * z + a * math.log(z * z) + b + c1 / z
-        g2 = lambda z: -0.7 * z + 0.3 * math.log(z * z) - 1.1 + 0.4 / z
+        g1 = lambda z: d * z + a * np.log(z * z) + b + c1 / z
+        g2 = lambda z: -0.7 * z + 0.3 * np.log(z * z) - 1.1 + 0.4 / z
         p1 = num.fit_asymptotic_profile(g1, 30.0, 300.0, n_nodes=80)
         p2 = num.fit_asymptotic_profile(g2, 30.0, 300.0, n_nodes=80)
         p12 = num.fit_asymptotic_profile(lambda z: g1(z) + g2(z), 30.0, 300.0,
@@ -159,9 +159,20 @@ class TestProfileFit:
         assert p12.a == pytest.approx(p1.a + p2.a, abs=1e-8)
         assert p12.b == pytest.approx(p1.b + p2.b, abs=1e-7)
 
+    def test_g_called_once_on_the_grid(self):
+        calls = []
+
+        def g(z):
+            calls.append(z)
+            return 2.0 * z - 0.5 * np.log(z * z) + 1.25
+        prof = num.fit_asymptotic_profile(g, 30.0, 300.0, n_nodes=90)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], np.geomspace(30.0, 300.0, 90))
+        assert prof.b == pytest.approx(1.25, abs=1e-9)
+
     def test_ill_conditioned_raises(self):
         rng = np.random.default_rng(7)
-        noisy = lambda z: math.sin(37.0 * z) + rng.normal(0.0, 1.0)
+        noisy = lambda z: np.sin(37.0 * z) + rng.normal(0.0, 1.0, z.shape)
         prof = num.fit_asymptotic_profile(noisy, 30.0, 300.0)
         assert not prof.certified()
         with pytest.raises(num.FitError):
@@ -261,8 +272,8 @@ class TestProfileZetaOrientation:
         # come out as the classical (-1/2, -log 2pi)
         from zetacan.zetareg import zeta_from_profile
 
-        g = lambda z: -(math.pi * z + math.log1p(-math.exp(-2.0 * math.pi * z))
-                        - math.log(2.0 * math.pi * z))
+        g = lambda z: -(math.pi * z + np.log1p(-np.exp(-2.0 * math.pi * z))
+                        - np.log(2.0 * math.pi * z))
         prof = num.fit_asymptotic_profile(g, 30.0, 300.0)
         z0, z0p = zeta_from_profile(prof)
         assert z0 == pytest.approx(-0.5, abs=1e-9)

@@ -139,9 +139,9 @@ class TestBesselJ:
         vals = sp.bessel_j_complex_many((0, 2), z)
         for y, j0, j2 in zip((2.0, 5.0, 11.0), vals[0], vals[2]):
             assert complex(j0) == pytest.approx(
-                complex(math.exp(sp.bessel_i_log(0, y)[0])), rel=1e-12)
+                complex(math.exp(sp.bessel_i_log(0, y))), rel=1e-12)
             assert complex(j2 * 1j ** -2).real == pytest.approx(
-                math.exp(sp.bessel_i_log(2, y)[0]), rel=1e-12)
+                math.exp(sp.bessel_i_log(2, y)), rel=1e-12)
 
     def test_complex_against_scipy(self):
         z = np.array([1.5 + 0.8j, 20.0 + 9.0j, 60.0 + 25.0j])
@@ -149,6 +149,19 @@ class TestBesselJ:
         for n in (0, 1, 4):
             ref = jv(n, z)
             assert np.max(np.abs(vals[n] - ref) / np.abs(ref)) < 1e-11
+
+    @pytest.mark.parametrize("x", [np.array([0.4, 3.1, 17.0, 52.5]),
+                                   np.array([1.5 + 0.8j, 7.0 - 2.0j, 20.0 + 9.0j])])
+    def test_signed_orders_against_scipy(self, x):
+        # J_{-k} = (-1)^k J_k read from one kernel table, real and complex
+        q = np.arange(-7, 8)[:, None]
+        got = sp._j_signed(sp.bessel_j_orders(7, x), q, np.arange(x.size))
+        ref = jv(q, x)
+        scale = np.maximum(np.abs(ref), 1e-3)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / scale) < 1e-11
+        for k in range(1, 8):
+            assert np.array_equal(got[7 - k], (-1) ** k * got[7 + k])
 
 
 class TestKernel:
@@ -274,18 +287,17 @@ class TestBesselILog:
         for n in (0, 2, 7):
             for x in (1e-3, 1e-2):
                 lead = n * math.log(0.5 * x) - math.lgamma(n + 1.0)
-                assert sp.bessel_i_log(n, x)[0] - lead == pytest.approx(
+                assert sp.bessel_i_log(n, x) - lead == pytest.approx(
                     0.0, abs=x * x)
 
     def test_large_x_asymptotics_at_50(self):
         x = 50.0
-        scaled = math.exp(sp.bessel_i_log(0, x)[0] - x) * math.sqrt(
+        scaled = math.exp(sp.bessel_i_log(0, x) - x) * math.sqrt(
             2.0 * math.pi * x)
         assert scaled == pytest.approx(1.0 + 1.0 / (8.0 * x), abs=5e-5)
 
     def test_overflow_free_at_1e5(self):
-        lg, sign = sp.bessel_i_log(0, 1e5)
-        assert sign == 1
+        lg = sp.bessel_i_log(0, 1e5)
         assert math.isfinite(lg)
         assert lg == pytest.approx(1e5 - 0.5 * math.log(2.0 * math.pi * 1e5),
                                    abs=1e-5)
@@ -293,21 +305,62 @@ class TestBesselILog:
     @pytest.mark.parametrize("n,x", [(0, 0.7), (3, 12.0), (9, 80.0), (40, 95.0)])
     def test_against_scipy_ive(self, n, x):
         ref = math.log(ive(n, x)) + x
-        assert sp.bessel_i_log(n, x)[0] == pytest.approx(ref, abs=5e-13)
+        assert sp.bessel_i_log(n, x) == pytest.approx(ref, abs=5e-13)
 
     def test_recurrence_residual(self):
         for n in (1, 4, 10):
             for x in (0.9, 8.0, 66.0):
-                ia = math.exp(sp.bessel_i_log(n - 1, x)[0])
-                ib = math.exp(sp.bessel_i_log(n + 1, x)[0])
-                ic = math.exp(sp.bessel_i_log(n, x)[0])
+                ia = math.exp(sp.bessel_i_log(n - 1, x))
+                ib = math.exp(sp.bessel_i_log(n + 1, x))
+                ic = math.exp(sp.bessel_i_log(n, x))
                 assert ia - ib == pytest.approx((2.0 * n / x) * ic,
                                                 rel=1e-12, abs=1e-12)
 
+    @staticmethod
+    def _one_point_reference(n, x):
+        # the one-point loops the array form replaced, term for term
+        n = abs(n)
+        if x >= max(35.0, 1.2 * n * n):
+            mu, term, acc, prev = 4.0 * n * n, 1.0, 1.0, 1.0
+            for k in range(1, 30):
+                term *= -(mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+                if abs(term) >= prev:
+                    break
+                acc += term
+                prev = abs(term)
+                if abs(term) < 1e-19 * acc:
+                    break
+            return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(acc)
+        q, t, acc, shift, r = 0.25 * x * x, 1.0, 1.0, 0.0, 0
+        while True:
+            r += 1
+            t *= q / (r * (n + r))
+            acc += t
+            if t < 1e-18 * acc and r > 3:
+                break
+            if acc > 1e280:
+                acc, t, shift = acc * 1e-280, t * 1e-280, shift + 280.0 * math.log(10.0)
+        return n * math.log(0.5 * x) - math.lgamma(n + 1.0) + math.log(acc) + shift
+
+    def test_array_equals_scalar_calls(self):
+        # mixed orders and both regimes, rescaled series sums among them:
+        # each point of one call gets the bits of its own one-point call
+        n = np.array([[0], [1], [3], [9], [-9], [40], [60]])
+        x = np.array([1e-3, 0.7, 12.0, 35.0, 80.0, 640.0, 3000.0, 1e5])
+        got = sp.bessel_i_log(n, x)
+        assert got.shape == (7, 8)
+        want = [[sp.bessel_i_log(int(k), float(v)) for v in x] for k in n[:, 0]]
+        assert np.array_equal(got, np.array(want))
+        ref = [[self._one_point_reference(int(k), float(v)) for v in x] for k in n[:, 0]]
+        assert np.array_equal(got, np.array(ref))
+        assert np.array_equal(got[3], got[4])
+        assert np.array_equal(sp.bessel_i_log(n[:, 0], 80.0), got[:, 4])
+
     def test_regime_overlap_consistency(self):
         worst = 0.0
+        x = np.array([35.0, 60.0, 120.0])
         for n in (0, 1, 3):
-            for x in (35.0, 60.0, 120.0):
-                worst = max(worst, abs(sp._series_i_log(n, x)
-                                       - sp._asymptotic_i_log(n, x)))
+            n = np.full(x.shape, n)
+            worst = max(worst, np.max(np.abs(sp._series_i_log(n, x)
+                                             - sp._asymptotic_i_log(n, x))))
         assert worst < 1e-9

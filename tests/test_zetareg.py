@@ -245,6 +245,18 @@ class TestSpectralSums:
         assert d == pytest.approx(c, abs=1e-5)
 
 
+class TestDirectZeroCache:
+    def test_one_solve_serves_every_s(self, monkeypatch):
+        monkeypatch.setattr(zr, "_DIRECT_ZEROS", {})
+        cold = [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)]
+        zeros = zr._DIRECT_ZEROS[1]
+        monkeypatch.setattr(zr.besselx, "zero_sequences", None)  # a warm call solves nothing
+        assert [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)] == cold
+        assert zr._DIRECT_ZEROS[1] is zeros and zeros.shape == (15, 60)
+        with pytest.raises(ValueError):
+            zeros[0, 0] = 0.0
+
+
 class TestContourSampleCache:
     def test_cold_and_warm_agree(self, monkeypatch):
         zr._CONTOUR_SAMPLES.clear()
