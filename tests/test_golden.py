@@ -3,11 +3,11 @@ cross-checks) and torsion reports, and the verify verdicts.
 
 ``golden/reports.json`` holds stdout, exit code and the stderr error class
 ("configuration error", "numerical failure") of ``zeta --m M
---check-routes profile,contour`` for every M in 0..64 and of ``torsion --m
-M`` for M in {0, 1, 6, 17, 24, 40, 58, 59}.  The entries for those eight M
-were captured from the CLI before the J kernel and zero solvers were
-rewritten, the other zeta entries before the modified Bessel I side took
-arrays.  The known failure (profile not certified from M = 24) must keep
+--check-routes profile,contour`` and of ``torsion --m M`` for every M in
+0..64.  The entries for M in {0, 1, 6, 17, 24, 40, 58, 59} were captured
+from the CLI before the J kernel and zero solvers were rewritten, the other
+zeta entries before the modified Bessel I side took arrays, and the other
+torsion entries before the J kernel's Miller loop stopped allocating.  The known failure (profile not certified from M = 24) must keep
 failing the same way, and every reported value must stay where it was.  ``torsion --m 59`` overflowed until the torsion
 integrals moved onto [0, 1]; its entry holds the report it prints since.
 
