@@ -177,18 +177,24 @@ def _build_zero_table(kind: str, n_top: int, count: int) -> np.ndarray:
 def _zero_table(kind: str, order: int, count: int) -> np.ndarray:
     """Zeros 1..count of J_|order| or J_|order|', from the cached table.
 
-    A request beyond the table rebuilds it once, to the largest order and
-    count asked for so far, with 8 orders of headroom because callers
-    usually walk the orders upward.  Every zero depends only on its own
-    bracket, so the values do not depend on the order of the requests.
+    The first request builds the table to its own order (8 rows at least)
+    and count, all that a one-shot caller such as ``spectrum`` needs.  A
+    later request beyond the table rebuilds it once, to the largest order
+    and count asked for so far, each rounded up to a size class (a multiple
+    of 16), so that callers walking orders and counts upward rebuild it a
+    few times, not once per step.  Every zero depends only on its own
+    bracket cell and its own kernel pass, so the values depend neither on
+    the size of the table nor on the order of the requests.
     """
     order = abs(order)
-    table = _ZERO_TABLES.get(kind, np.empty((0, 0)))
+    table = _ZERO_TABLES.get(kind)
+    if table is None:
+        table = _ZERO_TABLES[kind] = _build_zero_table(kind, max(order, 7), count)
     rows, have = table.shape
     if order >= rows or count > have:
-        n_top = rows - 1 if order < rows else max(order, rows + 7)
-        table = _build_zero_table(kind, n_top, max(count, have))
-        _ZERO_TABLES[kind] = table
+        rows = -(-max(order + 1, rows) // 16) * 16
+        have = -(-max(count, have) // 16) * 16
+        table = _ZERO_TABLES[kind] = _build_zero_table(kind, rows - 1, have)
     return table[order, :count].copy()
 
 

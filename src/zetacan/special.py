@@ -1,9 +1,11 @@
 r"""Special-function kernel: gamma family, Riemann/Hurwitz zeta and their
 s-derivatives, Bessel J of integer order, and log-scaled Bessel I.
 
-Everything here is a pure function of its arguments.  Hurwitz zeta, its
-s-derivative and digamma come from one Euler-Maclaurin form; Riemann zeta
-values for s < -1/2 go through the functional equation.
+Everything here is a pure function of its arguments, so the scalar zeta
+functions that callers ask for again and again (``hurwitz_zeta``,
+``hurwitz_zeta_prime``, ``riemann_zeta_prime``) are memoized.  Hurwitz
+zeta, its s-derivative and digamma come from one Euler-Maclaurin form;
+Riemann zeta values for s < -1/2 go through the functional equation.
 
 The Bessel layer is array-first.  ``bessel_j_orders`` yields J_0 .. J_n at
 every point of a real or complex array from one downward (Miller)
@@ -21,6 +23,7 @@ one-point call would.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -139,6 +142,7 @@ def _pochhammer_prime(s: float, m: int) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     """Hurwitz zeta(s, a) for real s != 1, a > 0, by Euler-Maclaurin.
 
@@ -166,6 +170,7 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     return acc
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def hurwitz_zeta_prime(s: float, a: float = 1.0) -> float:
     """d/ds of hurwitz_zeta(s, a), same validity range."""
     if a <= 0.0:
@@ -221,6 +226,7 @@ def riemann_zeta(s: float) -> float:
     )
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def riemann_zeta_prime(s: float) -> float:
     """zeta'(s) at real s != 1, by the differentiated functional equation
     for s < -1/2 (with the trivial zeros handled in closed form)."""
@@ -259,13 +265,13 @@ def _rescale(k, out, f, fp, *sums):
     Arrays are updated in place.  A screen on the float view,
     |f| <= 1.5 max(|Re f|, |Im f|), picks the candidates, and only those are
     tested exactly and multiplied, so each point gets the same decision and
-    factor as a rescale of the whole array would give it.
+    factor as a rescale of the whole array would give it.  The bound on |f|
+    comes from the screen's magnitudes, scaled at the rescaled points only.
+    The bound on |fp| is taken afresh: the caller's running bound may be
+    far above it, and carried on it would set off a rescale every few steps.
     """
-    if f.ndim == 0:  # numpy scalars from a 0-d x have no views to write through
-        if abs(f) > 1e280:
-            f, fp, *sums = (a * 1e-280 for a in (f, fp, *sums))
-            out[k:] *= 1e-280
-        return (f, fp, *sums, abs(f), abs(fp))
+    # a numpy scalar becomes a 0-d array, which has views to write through
+    f, fp, *sums = (np.asarray(a) for a in (f, fp, *sums))
     wide = 1.5 if f.dtype.kind == "c" else 1.0
     mag = np.abs(f.reshape(-1).view(np.float64))
     hot = np.flatnonzero(mag > 1e280 / wide)
@@ -277,7 +283,7 @@ def _rescale(k, out, f, fp, *sums):
         for a in (f, fp, *sums):
             a.reshape(-1)[hot] *= 1e-280
         out.reshape(out.shape[0], -1)[k:, hot] *= 1e-280
-        mag = np.abs(f.reshape(-1).view(np.float64))
+        mag.reshape(f.size, -1)[hot] *= 1e-280  # |a 1e-280| = |a| 1e-280 exactly
     return (f, fp, *sums, wide * float(mag.max()),
             wide * float(np.abs(fp.reshape(-1).view(np.float64)).max()))
 
@@ -295,15 +301,20 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     recurrence at their own index.  Complex points start at the index set by
     the largest |z| and highest order of their row (the last axis; a 1-d
     array is one row), so a row's values never depend on the other rows.
+
+    A step costs a few ufunc calls whatever the number of points, so the
+    loop writes every step into preallocated buffers, in the operation
+    order of the plain expressions and so with their bits, and rescales
+    only when a running bound on |f| passes 1e280.
     """
     x = np.asarray(x)
     cplx = np.iscomplexobj(x)
-    # C order, so that the running sums are rescaled in place through flat views
-    x = x.astype(np.complex128 if cplx else np.float64, order="C")
+    x = x.astype(np.complex128 if cplx else np.float64)
     top = int(np.max(n_max))
-    out = np.empty((top + 1,) + x.shape, dtype=x.dtype)
+    shape = x.shape
+    out = np.empty((top + 1, x.size), dtype=x.dtype)
     if x.size == 0:
-        return out
+        return out.reshape((top + 1,) + shape)
     zero = x == 0.0
     if zero.any():
         x = np.where(zero, 1.0, x)
@@ -311,17 +322,17 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
         rows = np.atleast_1d(x)
         xa = np.maximum(np.max(np.abs(rows), axis=-1, keepdims=True), 1.0)
         tops = np.max(np.broadcast_to(n_max, rows.shape), axis=-1, keepdims=True)
-        start = np.broadcast_to(_miller_start(tops, xa).astype(int), rows.shape).reshape(x.shape)
+        start = np.broadcast_to(_miller_start(tops, xa).astype(int), rows.shape)
     else:
         start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
+    # the recurrence is pointwise: run it on flat arrays
+    x, zero = x.reshape(-1), zero.reshape(-1)
     # points grouped by start index: group g is order[edges[g]:edges[g + 1]]
     order = np.argsort(start, axis=None, kind="stable")
     starts, first = np.unique(start.ravel()[order], return_index=True)
     starts, edges, g = starts.tolist(), first.tolist() + [order.size], len(starts) - 1
-    f = np.zeros(x.shape, dtype=x.dtype)   # unnormalized J_k
-    fp = np.zeros(x.shape, dtype=x.dtype)  # unnormalized J_{k+1}
-    neumann = np.zeros(x.shape, dtype=x.dtype)
-    cos_norm = np.zeros(x.shape, dtype=x.dtype)
+    # unnormalized J_k and J_{k+1}, two scratch buffers, the two sums
+    f, fp, a, b, neumann, cos_norm = (np.zeros(x.size, dtype=x.dtype) for _ in range(6))
     inv_x = 2.0 / x
     # |f| <= (k+1) max|2/x| |f_{k+1}| + |f_{k+2}|: a bound that spares the
     # rescale test on the steps where no value can have passed 1e280
@@ -329,20 +340,24 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     bound = bound_p = 0.0
     for k in range(starts[-1], -1, -1):
         if g >= 0 and k == starts[g]:
-            f.flat[order[edges[g]:edges[g + 1]]] = 1e-30
+            f[order[edges[g]:edges[g + 1]]] = 1e-30
             bound = max(bound, 1e-30)
             g -= 1
-        f, fp = (k + 1) * inv_x * f - fp, f
+        # f_k = (k + 1) * inv_x * f_{k+1} - f_{k+2}; J_{k+2}'s buffer is free next
+        np.multiply(k + 1, inv_x, out=a)
+        np.multiply(a, f, out=b)
+        np.subtract(b, fp, out=a)
+        f, fp, a = a, f, fp
         bound, bound_p = ((k + 1) * growth * bound + bound_p) * (1.0 + 1e-12), bound
         if k <= top:
             out[k] = f
         if k % 2 == 0:
-            w = f if k == 0 else 2.0 * f
-            neumann = neumann + w
-            if cplx:
-                cos_norm = cos_norm + (w if (k // 2) % 2 == 0 else -w)
+            w = f if k == 0 else np.multiply(2.0, f, out=b)
+            np.add(neumann, w, out=neumann)
+            if cplx:  # cos_norm + (-w) is cos_norm - w, bit for bit
+                (np.add if k % 4 == 0 else np.subtract)(cos_norm, w, out=cos_norm)
         if bound > 1e280:
-            f, fp, neumann, cos_norm, bound, bound_p = _rescale(k, out, f, fp, neumann, cos_norm)
+            *_, bound, bound_p = _rescale(k, out, f, fp, neumann, cos_norm)
     if cplx:
         use_cos = np.abs(x.imag) > 1.0
         out *= np.where(use_cos, np.cos(x), 1.0 + 0.0j)
@@ -352,7 +367,7 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     if zero.any():
         out[:, zero] = 0.0
         out[0, zero] = 1.0
-    return out
+    return out.reshape((top + 1,) + shape)
 
 
 def _j_signed(j, q, *points) -> np.ndarray:

@@ -54,18 +54,32 @@ class TestZeroTables:
 
     def test_growth_builds_once(self, monkeypatch):
         # a request past the table triggers exactly one build, never a
-        # cascade of lower-order rebuilds
+        # cascade of lower-order rebuilds; the first build is what was asked
+        # for, and every rebuild goes to the next size class (multiples of
+        # 16 in orders and in count)
         builds = []
         build = bx._build_zero_table
         monkeypatch.setattr(bx, "_ZERO_TABLES", {})
         monkeypatch.setattr(bx, "_build_zero_table",
                             lambda *a: builds.append(a) or build(*a))
         for order, count, grows in ((3, 10, True), (2, 10, False), (7, 10, False),
-                                    (12, 10, True), (12, 11, True), (0, 40, True),
-                                    (25, 5, True), (10, 40, False)):
+                                    (12, 10, True), (12, 11, False), (15, 16, False),
+                                    (16, 10, True), (0, 40, True), (40, 60, True),
+                                    (25, 5, False), (47, 64, False)):
             before = len(builds)
             assert len(bx.bessel_j_zeros(order, count)) == count
             assert len(builds) - before == int(grows), (order, count)
+        assert [b[1:] for b in builds] == [(7, 10), (15, 16), (31, 16), (31, 48), (47, 64)]
+
+    @pytest.mark.parametrize("kind", ["j", "jp"])
+    def test_table_size_does_not_move_a_zero(self, kind):
+        # tables of different sizes agree bit for bit where they overlap
+        tables = [bx._build_zero_table(kind, n_top, count)
+                  for n_top, count in ((7, 10), (15, 16), (20, 33), (31, 64), (47, 48))]
+        for i, a in enumerate(tables):
+            for b in tables[i + 1:]:
+                rows, cols = min(a.shape[0], b.shape[0]), min(a.shape[1], b.shape[1])
+                assert np.array_equal(a[:rows, :cols], b[:rows, :cols]), (a.shape, b.shape)
 
 
 class TestCrossProducts:
