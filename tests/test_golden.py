@@ -3,16 +3,24 @@ cross-checks) and torsion reports, and the verify verdicts.
 
 ``golden/reports.json`` holds stdout, exit code and the stderr error class
 ("configuration error", "numerical failure") of ``zeta --m M
---check-routes profile,contour`` and of ``torsion --m M`` for every M in
-0..64.  The entries for M in {0, 1, 6, 17, 24, 40, 58, 59} were captured
-from the CLI before the J kernel and zero solvers were rewritten, the other
-zeta entries before the modified Bessel I side took arrays, and the other
-torsion entries before the J kernel's Miller loop stopped allocating.  The known failure (profile not certified from M = 24) must keep
-failing the same way, and every reported value must stay where it was.  ``torsion --m 59`` overflowed until the torsion
-integrals moved onto [0, 1]; its entry holds the report it prints since.
+--check-routes profile,contour``, of ``zeta --m M --route contour`` and of
+``torsion --m M`` for every M in 0..64.  The ``--check-routes`` and torsion
+entries for M in {0, 1, 6, 17, 24, 40, 58, 59} were captured from the CLI
+before the J kernel and zero solvers were rewritten, the other
+``--check-routes`` entries before the modified Bessel I side took arrays,
+the other torsion entries before the J kernel's Miller loop stopped
+allocating, and the ``--route contour`` entries before each m's route
+values came from one call.  The
+known failure (profile not certified from M = 24) must keep failing the
+same way, and every reported value must stay where it was.  ``torsion --m
+59`` overflowed until the torsion integrals moved onto [0, 1]; its entry
+holds the report it prints since.
 
 ``golden/spectrum_m{M}.{csv,json}`` hold the exact stdout of ``spectrum --m M
 --n-max 6 --k-max 8`` for M in {0, 1, 2, 17, 30}, compared byte for byte.
+``golden/zeta_contour_m{M}.csv`` and ``golden/torsion_m{M}.csv`` hold the
+exact stdout of ``zeta --m M --route contour --format csv`` and ``torsion
+--m M --format csv`` for M in {0, 1, 6, 24, 64}, compared byte for byte.
 ``golden/verify_all.txt`` holds the 85 verdicts and check names of ``verify
 --suite all``; the ``err=`` details are left out, since they may move in the
 last digits when an implementation is merged or reordered.
@@ -71,6 +79,16 @@ def test_spectrum_matches_golden(m, fmt, capsys):
     out, err = capsys.readouterr()
     assert (code, err) == (0, "")
     assert out == (DIR / f"spectrum_m{m}.{fmt}").read_bytes().decode()
+
+
+@pytest.mark.parametrize("m", [0, 1, 6, 24, 64])
+@pytest.mark.parametrize("name,argv", [
+    ("zeta_contour", ["zeta", "--route", "contour"]), ("torsion", ["torsion"])])
+def test_csv_report_matches_golden(name, argv, m, capsys):
+    code = cli.main(argv + ["--m", str(m), "--format", "csv"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out == (DIR / f"{name}_m{m}.csv").read_bytes().decode()
 
 
 def test_verify_verdicts_match_golden(capsys):
