@@ -126,9 +126,7 @@ def _j_pair(kind: str, n: np.ndarray, x: np.ndarray):
     J_n' = (J_{n-1} - J_{n+1}) / 2 and J_n'' = -J_n'/x - (1 - n^2/x^2) J_n
     (Bessel's equation); each point's kernel pass stops at its own order n + 1.
     """
-    jm, jn, jp = _j_signed(bessel_j_orders(n + 1, x), n + np.array([[-1], [0], [1]]),
-                           np.arange(x.size))
-    d = 0.5 * (jm - jp)
+    (jn, d), = _j_and_prime(n, (0,), n + 1, x)
     if kind == "j":
         return jn, d
     return d, -d / x - (1.0 - (n / x) ** 2) * jn

@@ -68,33 +68,39 @@ def _emit(text: str, path):
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    spectrum = besselx.spectrum(args.m, args.n_max, args.k_max)
+def _report(args, doc, header, rows) -> int:
+    """Emit ``doc`` as JSON, or ``header`` and ``rows`` as CSV, as --format asks."""
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
-        w.writerow(["eigenvalue", "m", "n", "k", "lambda", "multiplicity",
-                    "residual"])
-        for e in spectrum.entries:
-            w.writerow([format(e.eigenvalue, ".17g"), args.m, e.order, e.k,
-                        format(e.lam, ".17g"), e.multiplicity, format(e.residual, ".3e")])
+        w.writerow(header)
+        w.writerows(rows)
         _emit(buf.getvalue(), args.out)
     else:
-        doc = {
-            "schema": SCHEMA,
-            "kind": "spectrum",
-            "m": args.m,
-            "n_orders": args.n_max,
-            "k_max": args.k_max,
-            "zero_mode_multiplicity": spectrum.zero_mode_multiplicity,
-            "entries": [
-                {"eigenvalue": e.eigenvalue, "n": e.order, "k": e.k, "lambda": e.lam,
-                 "multiplicity": e.multiplicity, "residual": e.residual}
-                for e in spectrum.entries
-            ],
-        }
         _emit(dumps(doc), args.out)
     return 0
+
+
+def cmd_spectrum(args) -> int:
+    spectrum = besselx.spectrum(args.m, args.n_max, args.k_max)
+    doc = {
+        "schema": SCHEMA,
+        "kind": "spectrum",
+        "m": args.m,
+        "n_orders": args.n_max,
+        "k_max": args.k_max,
+        "zero_mode_multiplicity": spectrum.zero_mode_multiplicity,
+        "entries": [
+            {"eigenvalue": e.eigenvalue, "n": e.order, "k": e.k, "lambda": e.lam,
+             "multiplicity": e.multiplicity, "residual": e.residual}
+            for e in spectrum.entries
+        ],
+    }
+    rows = ([format(e.eigenvalue, ".17g"), args.m, e.order, e.k,
+             format(e.lam, ".17g"), e.multiplicity, format(e.residual, ".3e")]
+            for e in spectrum.entries)
+    return _report(args, doc, ["eigenvalue", "m", "n", "k", "lambda", "multiplicity",
+                               "residual"], rows)
 
 
 def cmd_zeta(args) -> int:
@@ -103,34 +109,18 @@ def cmd_zeta(args) -> int:
     rep = zetareg.zeta_canonical(args.m, route=args.route, check_routes=check)
     doc = {"schema": SCHEMA, "kind": "zeta"}
     doc.update(rep.as_dict())
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["m", "zeta0", "zeta0_prime", "det_reg", "route"])
-        w.writerow([args.m, format(rep.zeta0, ".17g"),
-                    format(rep.zeta0_prime, ".17g"),
-                    format(rep.det_reg, ".17g"), rep.route])
-        _emit(buf.getvalue(), args.out)
-    else:
-        _emit(dumps(doc), args.out)
-    return 0
+    return _report(args, doc, ["m", "zeta0", "zeta0_prime", "det_reg", "route"],
+                   [[args.m, format(rep.zeta0, ".17g"), format(rep.zeta0_prime, ".17g"),
+                     format(rep.det_reg, ".17g"), rep.route]])
 
 
 def cmd_torsion(args) -> int:
     rep = torsion.torsion_g(args.m)
-    if args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["m", "Tg", "zeta0_prime", "discrepancy"])
-        w.writerow([args.m, format(rep.Tg, ".17g"),
-                    format(rep.zeta0_prime, ".17g"),
-                    format(rep.discrepancy, ".3e")])
-        _emit(buf.getvalue(), args.out)
-    else:
-        doc = {"schema": SCHEMA, "kind": "torsion"}
-        doc.update(rep.as_dict())
-        _emit(dumps(doc), args.out)
-    return 0
+    doc = {"schema": SCHEMA, "kind": "torsion"}
+    doc.update(rep.as_dict())
+    return _report(args, doc, ["m", "Tg", "zeta0_prime", "discrepancy"],
+                   [[args.m, format(rep.Tg, ".17g"), format(rep.zeta0_prime, ".17g"),
+                     format(rep.discrepancy, ".3e")]])
 
 
 def cmd_verify(args) -> int:
@@ -165,10 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "metrics on the projective line.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_m=True):
-        if need_m:
-            sp.add_argument("--m", type=_nonnegative_int, required=True,
-                            help="twist degree of O(m)")
+    def common(sp):
+        sp.add_argument("--m", type=_nonnegative_int, required=True,
+                        help="twist degree of O(m)")
         sp.add_argument("--out", default=None, help="output path (default stdout)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -193,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_torsion)
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    common(sp, need_m=False)
+    sp.add_argument("--out", default=None, help="output path (default stdout)")
     sp.add_argument("--suite", default="all",
                     choices=sorted(verify.SUITES) + ["all"])
     sp.set_defaults(func=cmd_verify)

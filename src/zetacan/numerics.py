@@ -292,10 +292,13 @@ def _ray_layout(radius: float):
     return r, w
 
 
-def _eval_logp(logp_nodes, z: np.ndarray) -> np.ndarray:
-    """log p at the ray nodes z, its imaginary part made continuous along the
-    ray; QuadratureError when a sample is not finite."""
-    vals = np.asarray(logp_nodes(z), dtype=np.complex128)
+def _eval_logp(logp, z: np.ndarray) -> np.ndarray:
+    """The samples ``logp`` of log p at the ray nodes z, their imaginary part
+    made continuous along the ray; ValueError when there is not one sample
+    per node, QuadratureError when a sample is not finite."""
+    vals = np.asarray(logp, dtype=np.complex128)
+    if vals.shape != z.shape:
+        raise ValueError(f"log p sampled at shape {vals.shape}, contour nodes {z.shape}")
     bad = ~np.isfinite(vals)
     if bad.any():
         raise QuadratureError(f"log p is not finite at {int(bad.sum())} of {vals.size} "
@@ -305,8 +308,9 @@ def _eval_logp(logp_nodes, z: np.ndarray) -> np.ndarray:
     return vals.real + 1j * im
 
 
-def _ray_tail_integrals(z_r: complex, s: float) -> dict:
-    """Closed forms of int_{z_R}^{infty} basis(z) z^{-2s-1} dz along the ray.
+def _ray_tail_integrals(z_r: complex, s: float) -> tuple:
+    """Closed forms of int_{z_R}^{infty} b(z) z^{-2s-1} dz along the ray, for the
+    basis b = z, log z^2, 1, 1/z, 1/z^2 of ``_fit_ray_asymptotics`` in its order.
 
     Valid for s > 1/2 (the integrands then decay); log z is principal,
     which is the analytic branch on the upper ray.
@@ -314,16 +318,9 @@ def _ray_tail_integrals(z_r: complex, s: float) -> dict:
     def power(w):
         return z_r ** (1.0 - w) / (w - 1.0)
 
-    out = {
-        "z": power(2.0 * s),
-        "one": power(2.0 * s + 1.0),
-        "invz": power(2.0 * s + 2.0),
-        "invz2": power(2.0 * s + 3.0),
-    }
     w = 2.0 * s + 1.0
-    out["logz2"] = 2.0 * z_r ** (1.0 - w) * (
-        np.log(z_r) / (w - 1.0) + 1.0 / (w - 1.0) ** 2)
-    return out
+    logz2 = 2.0 * z_r ** (1.0 - w) * (np.log(z_r) / (w - 1.0) + 1.0 / (w - 1.0) ** 2)
+    return power(2.0 * s), logz2, power(w), power(2.0 * s + 2.0), power(2.0 * s + 3.0)
 
 
 def _fit_ray_asymptotics(z: np.ndarray, vals: np.ndarray, r: np.ndarray,
@@ -335,19 +332,17 @@ def _fit_ray_asymptotics(z: np.ndarray, vals: np.ndarray, r: np.ndarray,
                       1.0 / zz ** 2], axis=1)
     scale = np.max(np.abs(basis), axis=0)
     coef, *_ = np.linalg.lstsq(basis / scale, vals[sel], rcond=None)
-    coef = coef / scale
-    resid = float(np.max(np.abs(basis @ coef - vals[sel])))
-    return coef, resid
+    return coef / scale
 
 
-def mellin_contour_zeta(logp_nodes, contour: ContourSpec, s: float) -> float:
+def mellin_contour_zeta(logp, contour: ContourSpec, s: float) -> float:
     """Spectral zeta value sum_k lambda_k^{-2s} from the contour representation.
 
-    ``logp_nodes`` maps an array of points on the upper ray of Lambda_c to
-    the analytic continuation of log p there (p the normalized zero
-    product, real and positive at the vertex); its imaginary part is made
-    continuous along the ray, so callers may pass a principal-branch
-    evaluation of a product.
+    ``logp`` holds the analytic continuation of log p (p the normalized zero
+    product, real and positive at the vertex) sampled at
+    ``contour.ray_nodes()[0]``, the nodes of the upper ray of Lambda_c; its
+    imaginary part is made continuous along the ray, so callers may pass a
+    principal-branch evaluation of a product.
 
     Valid for s > 1/2, s != 1 (the s-integration has been carried out in
     closed form; the tail beyond the truncation radius uses ray-side
@@ -356,24 +351,23 @@ def mellin_contour_zeta(logp_nodes, contour: ContourSpec, s: float) -> float:
     if s <= 0.5:
         raise ValueError("contour representation needs s > 1/2")
     z, w, r = contour.ray_nodes()
-    vals = _eval_logp(logp_nodes, z)
+    vals = _eval_logp(logp, z)
     integrand = vals * z ** (-2.0 * s - 1.0)
     i_num = np.sum(w * integrand)
-    coef, resid = _fit_ray_asymptotics(z, vals, r, 0.6 * contour.truncation_radius)
+    coef = _fit_ray_asymptotics(z, vals, r, 0.6 * contour.truncation_radius)
     z_r = contour.c + contour.truncation_radius * _PHASE
-    tails = _ray_tail_integrals(z_r, s)
-    i_tail = (coef[0] * tails["z"] + coef[1] * tails["logz2"]
-              + coef[2] * tails["one"] + coef[3] * tails["invz"]
-              + coef[4] * tails["invz2"])
+    i_tail = sum(c * t for c, t in zip(coef, _ray_tail_integrals(z_r, s)))
     return -(2.0 * s / math.pi) * float((i_num + i_tail).imag)
 
 
-def mellin_zeta_critical_values(logp_nodes, contour: ContourSpec,
+def mellin_zeta_critical_values(logp, contour: ContourSpec,
                                 profile: AsymptoticProfile):
     """(zeta(0), zeta'(0)) by analytic continuation of the contour integral.
 
-    ``profile`` holds the real-ray coefficients of -log G, G the rotated
-    product with purely imaginary zeros; they fix the ray-side asymptotics
+    ``logp`` holds log p at ``contour.ray_nodes()[0]``, as for
+    ``mellin_contour_zeta``.  ``profile`` holds the real-ray coefficients of
+    -log G, G the rotated product with purely imaginary zeros; they fix the
+    ray-side asymptotics
 
         log p(z) = i d z - a Log(z^2) + (i pi a - b) - i c1 / z + c2 / z^2 + O(1/z^3)
 
@@ -384,7 +378,7 @@ def mellin_zeta_critical_values(logp_nodes, contour: ContourSpec,
         zeta'(0) = 2 d c / pi + 2 a log c + 2 c1 / (pi c) - (2/pi) Im int q(z) dz / z.
     """
     z, w, r = contour.ray_nodes()
-    vals = _eval_logp(logp_nodes, z)
+    vals = _eval_logp(logp, z)
     phi = (1j * profile.d * z - profile.a * np.log(z * z)
            + (1j * math.pi * profile.a - profile.b)
            - 1j * profile.c1 / z + profile.c2 / z ** 2)

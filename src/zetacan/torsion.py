@@ -113,15 +113,22 @@ def gram_det_closed(m: int) -> Fraction:
 # Bott-Chern degree-zero pairings
 # ----------------------------------------------------------------------
 
+def _base_integrals(route: str):
+    """(J_can, J_fs): (log 2, 1 - log 2) for route "closed", by quadrature
+    for route "quadrature".  In floats log 2 + (1 - log 2) is exactly 1."""
+    if route == "closed":
+        return math.log(2.0), 1.0 - math.log(2.0)
+    if route == "quadrature":
+        return base_integral_circle(), base_integral_fs()
+    raise ValueError(f"unknown route {route!r}")
+
+
 def bott_chern_ch_deg0(m: int, route: str = "closed") -> float:
     """Degree-0 part of int ch~(O(m), h_FS, h_can) Td(TP^1_FS).
 
     Equals (m^2/2)(J_can + J_fs) + m J_fs = m^2/2 + (1 - log 2) m.
     """
-    if route == "closed":
-        return 0.5 * m * m + (1.0 - math.log(2.0)) * m
-    j_can = base_integral_circle()
-    j_fs = base_integral_fs()
+    j_can, j_fs = _base_integrals(route)
     return 0.5 * m * m * (j_can + j_fs) + m * j_fs
 
 
@@ -130,10 +137,7 @@ def bott_chern_td_deg0(m: int, route: str = "closed") -> float:
 
     Equals (1/3)(J_can + J_fs) + m J_can = 1/3 + m log 2.
     """
-    if route == "closed":
-        return 1.0 / 3.0 + m * math.log(2.0)
-    j_can = base_integral_circle()
-    j_fs = base_integral_fs()
+    j_can, j_fs = _base_integrals(route)
     return (j_can + j_fs) / 3.0 + m * j_can
 
 

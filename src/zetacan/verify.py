@@ -199,15 +199,16 @@ def suite_routes():
     out.append(_check("routes: sine profile zeta'(0) = -log 2pi", z0p,
                       -math.log(2.0 * math.pi), 1e-8))
     ctr = ContourSpec(c=0.5, truncation_radius=60.0)
+    sine = _sine_logp(ctr.ray_nodes()[0])
     prof = AsymptoticProfile(d=-math.pi, a=0.5, b=math.log(2.0 * math.pi))
-    c0, c0p = mellin_zeta_critical_values(_sine_logp, ctr, prof)
+    c0, c0p = mellin_zeta_critical_values(sine, ctr, prof)
     out.append(_check("routes: sine contour zeta(0)", c0, -0.5, 1e-8))
     out.append(_check("routes: sine contour zeta'(0)", c0p,
                       -math.log(2.0 * math.pi), 1e-8))
     for s, target in ((1.5, riemann_zeta(3.0)), (2.0, riemann_zeta(4.0)),
                       (3.0, riemann_zeta(6.0))):
         out.append(_check(f"routes: sine contour s={s} = zeta({2*s:g})",
-                          mellin_contour_zeta(_sine_logp, ctr, s), target, 1e-6))
+                          mellin_contour_zeta(sine, ctr, s), target, 1e-6))
     # canonical zeta route agreement
     for m in (0, 1, 2):
         rep = zetareg.zeta_canonical(m, check_routes=("profile", "contour"))

@@ -29,6 +29,7 @@ Values at 0 are kept in exact rational arithmetic where they are rational.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -52,7 +53,7 @@ __all__ = [
     "zeta_from_profile",
     "analytic_profile",
     "fitted_profile",
-    "low_order_sequence_values",
+    "low_order_values",
     "zeta_tail_block",
     "z_m_values",
     "zeta_canonical",
@@ -245,21 +246,6 @@ def _contour_samples(m: int, orders) -> list:
     return [_CONTOUR_SAMPLES[(nu, m)] for nu in nus]
 
 
-def _sequence_values(nu: int, m: int, route: str):
-    """(zeta_nu(0), zeta_nu'(0)) for the zero sequence of one cross product."""
-    if route == "closed":
-        prof = analytic_profile(nu, m)
-        return zeta_from_profile(prof)
-    if route == "profile":
-        prof = fitted_profile(nu, m)
-        return zeta_from_profile(prof)
-    if route == "contour":
-        (contour, vals), = _contour_samples(m, [nu])
-        return mellin_zeta_critical_values(lambda z: vals, contour,
-                                           analytic_profile(nu, m))
-    raise ValueError(f"unknown route {route!r}")
-
-
 # ----------------------------------------------------------------------
 # eta, gamma_k and F components
 # ----------------------------------------------------------------------
@@ -388,26 +374,31 @@ def zeta_tail_block(m: int):
     return value0, value0_prime
 
 
-def low_order_sequence_values(m: int, route: str = "closed"):
-    """[(nu, weight, zeta_nu(0) exact, zeta_nu'(0))] over the low orders."""
-    out = []
+def low_order_values(m: int, route: str = "closed"):
+    """[(nu, weight, zeta_nu(0), zeta_nu'(0))] over the low orders, each value
+    as ``route`` computed it: from the analytic ("closed") or fitted
+    ("profile") profile, order by order in ascending nu, or from contour
+    samples of every order taken in one call ("contour")."""
+    if route not in ("closed", "profile", "contour"):
+        raise ValueError(f"unknown route {route!r}")
     orders = besselx.canonical_orders(m, m // 2 + 1)
     if route == "contour":
-        _contour_samples(m, [nu for nu, _ in orders])  # every order in one batch
-    for nu, weight in orders:
-        z0, z0p = _sequence_values(nu, m, route)
-        out.append((nu, weight, Fraction(-(m + 2), 2), z0, z0p))
-    return out
+        samples = _contour_samples(m, [nu for nu, _ in orders])
+        return [(nu, weight, *mellin_zeta_critical_values(vals, contour, analytic_profile(nu, m)))
+                for (nu, weight), (contour, vals) in zip(orders, samples)]
+    profile = fitted_profile if route == "profile" else analytic_profile
+    return [(nu, weight, *zeta_from_profile(profile(nu, m))) for nu, weight in orders]
 
 
 def z_m_values(m: int, route: str = "closed"):
-    """(z_m(0) exact, z_m'(0)): the 4^s-free zeta over all zeros."""
+    """(z_m(0) exact, z_m'(0)): the 4^s-free zeta over all zeros.  Every low
+    order's zeta_nu(0) is -(m+2)/2 exactly, whatever the route."""
     tail0, tail0p = zeta_tail_block(m)
     z0 = 2 * tail0
     z0p = 2.0 * tail0p
-    for nu, weight, z0_exact, z0_num, z0p_num in low_order_sequence_values(m, route):
-        z0 += weight * z0_exact
-        z0p += weight * z0p_num
+    for nu, weight, _, z0p_nu in low_order_values(m, route):
+        z0 += weight * Fraction(-(m + 2), 2)
+        z0p += weight * z0p_nu
     return z0, z0p
 
 
@@ -476,27 +467,19 @@ class DirichletNeumannBlock:
     route: str
 
 
-def _j0_sequence_values(route: str):
-    # zeros of J_0: G = I_0, l = 1, e = 0
-    if route == "closed":
-        return -0.25, -0.5 * _LOG2PI
-    if route == "numeric":
-        prof = fit_asymptotic_profile(
-            lambda z: -bessel_i_log(0, z), 60.0, 600.0, n_nodes=160)
-        return zeta_from_profile(prof)
-    raise ValueError(route)
+def _j0_sequence_values():
+    # zeros of J_0: G = I_0, l = 1, e = 0; closed (-1/4, -(1/2) log 2 pi)
+    prof = fit_asymptotic_profile(
+        lambda z: -bessel_i_log(0, z), 60.0, 600.0, n_nodes=160)
+    return zeta_from_profile(prof)
 
 
-def _j0p_sequence_values(route: str):
-    # zeros of J_0' = j_{1,k}: G = I_0' = I_1 / (z/2): a = 3/4
-    if route == "closed":
-        return -0.75, 0.5 * _LOG2 - 0.5 * _LOGPI
-    if route == "numeric":
-        prof = fit_asymptotic_profile(
-            lambda z: -(bessel_i_log(1, z) + _LOG2 - _log(z)), 60.0, 600.0,
-            n_nodes=160)
-        return zeta_from_profile(prof)
-    raise ValueError(route)
+def _j0p_sequence_values():
+    # zeros of J_0' = j_{1,k}: G = I_0' = I_1 / (z/2); closed (-3/4, (1/2) log(2/pi))
+    prof = fit_asymptotic_profile(
+        lambda z: -(bessel_i_log(1, z) + _LOG2 - _log(z)), 60.0, 600.0,
+        n_nodes=160)
+    return zeta_from_profile(prof)
 
 
 def dirichlet_neumann_block(route: str = "closed") -> DirichletNeumannBlock:
@@ -531,8 +514,8 @@ def dirichlet_neumann_block(route: str = "closed") -> DirichletNeumannBlock:
         a_n_prime = zp1 + 0.25 * _LOG2PI
         zd_small = -a_d_prime + bp + fd0p
         zn_small = -a_n_prime + bp + fn0p
-        j00, j00p = _j0_sequence_values("numeric")
-        jp0, jp0p = _j0p_sequence_values("numeric")
+        j00, j00p = _j0_sequence_values()
+        jp0, jp0p = _j0p_sequence_values()
         zd0 = 2.0 * (-(0.5 * (-1.0 / 12.0) + 0.25 * (-0.5)) + fd0) + j00
         zn0 = 2.0 * (-(0.5 * (-1.0 / 12.0) - 0.25 * (-0.5)) + fn0) + jp0
         zd0p = 2.0 * zd_small + j00p
@@ -602,8 +585,12 @@ def _spectral_sum(m: int, s: float, order_zetas) -> float:
     return 4.0 ** s * total
 
 
-# m -> the first 60 zeros of each order _spectral_sum reads, read-only
-_DIRECT_ZEROS: dict = {}
+@functools.cache
+def _direct_zeros(m: int, orders: tuple) -> np.ndarray:
+    """The first 60 zeros of each of ``orders``, one row per order, read-only."""
+    zeros = np.array([seq.zeros for seq in besselx.zero_sequences(m, orders, 60)])
+    zeros.flags.writeable = False
+    return zeros
 
 
 def spectral_zeta_direct(m: int, s: float) -> float:
@@ -611,14 +598,9 @@ def spectral_zeta_direct(m: int, s: float) -> float:
     n-tails, s > 1; one lockstep solve per m and process serves every s."""
     if s <= 1.0:
         raise ValueError("direct spectral sum needs s > 1")
-
-    def order_zetas(orders):
-        if m not in _DIRECT_ZEROS:
-            _DIRECT_ZEROS[m] = np.array([seq.zeros for seq in besselx.zero_sequences(m, orders, 60)])
-            _DIRECT_ZEROS[m].flags.writeable = False
-        return [float(np.sum(lam ** (-2.0 * s))) + zero_tail_sum(lam, 60, s, slope=math.pi / 2.0)
-                for lam in _DIRECT_ZEROS[m]]
-    return _spectral_sum(m, s, order_zetas)
+    return _spectral_sum(m, s, lambda orders: [
+        float(np.sum(lam ** (-2.0 * s))) + zero_tail_sum(lam, 60, s, slope=math.pi / 2.0)
+        for lam in _direct_zeros(m, tuple(orders))])
 
 
 def spectral_zeta_contour(m: int, s: float) -> float:
@@ -626,5 +608,5 @@ def spectral_zeta_contour(m: int, s: float) -> float:
     if s <= 1.0:
         raise ValueError("needs s > 1")
     return _spectral_sum(m, s, lambda orders: [
-        mellin_contour_zeta(lambda z: vals, contour, s)
+        mellin_contour_zeta(vals, contour, s)
         for contour, vals in _contour_samples(m, orders)])

@@ -128,7 +128,7 @@ def test_criterion_6_regularization_engine():
 
     ctr = ContourSpec(c=0.5, truncation_radius=60.0)
     c0, c0p = mellin_zeta_critical_values(
-        sine_logp, ctr, AsymptoticProfile(d=-math.pi, a=0.5, b=LOG2PI))
+        sine_logp(ctr.ray_nodes()[0]), ctr, AsymptoticProfile(d=-math.pi, a=0.5, b=LOG2PI))
     assert abs(c0 + 0.5) <= 1e-8 and abs(c0p + LOG2PI) <= 1e-8
 
     # Dirichlet / Neumann blocks.  The quoted Dirichlet derivative

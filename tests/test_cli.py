@@ -104,6 +104,10 @@ class TestVerifyCommand:
         code, *_ = run_cli("verify", "--suite", "nope")
         assert code == 2
 
+    def test_format_option_rejected(self, capsys):
+        assert cli.main(["verify", "--suite", "quadrature", "--format", "csv"]) == 2
+        assert "--format" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_numerical_failure_exits_3(self, monkeypatch):

@@ -194,22 +194,22 @@ class TestContour:
 
     def test_sine_product_s2(self):
         ctr = num.ContourSpec(c=0.5, truncation_radius=60.0)
-        val = num.mellin_contour_zeta(_sine_logp, ctr, 2.0)
+        val = num.mellin_contour_zeta(_sine_logp(ctr.ray_nodes()[0]), ctr, 2.0)
         assert val == pytest.approx(math.pi ** 4 / 90.0, abs=1e-10)
 
     def test_single_zero_product(self):
         a = 3.0
         ctr = num.ContourSpec(c=1.0, truncation_radius=400.0)
         for s in (0.8, 1.5, 2.0):
-            val = num.mellin_contour_zeta(
-                lambda z: np.log(1.0 - (z / a) ** 2), ctr, s)
+            z = ctr.ray_nodes()[0]
+            val = num.mellin_contour_zeta(np.log(1.0 - (z / a) ** 2), ctr, s)
             assert val == pytest.approx(a ** (-2.0 * s), abs=2e-12)
 
     def test_j0_product_rayleigh(self):
         # p = J_0 itself: sum 1/j_{0,k}^4 = 1/32
         ctr = num.ContourSpec(c=1.0, truncation_radius=200.0)
         logp = lambda z: np.log(sp.bessel_j_complex_many((0,), z)[0])
-        assert num.mellin_contour_zeta(logp, ctr, 2.0) == \
+        assert num.mellin_contour_zeta(logp(ctr.ray_nodes()[0]), ctr, 2.0) == \
             pytest.approx(1.0 / 32.0, abs=1e-10)
 
     def test_j0_product_s3_vs_direct(self):
@@ -221,7 +221,7 @@ class TestContour:
             zeros, 1500, 3.0)
         ctr = num.ContourSpec(c=1.0, truncation_radius=200.0)
         logp = lambda z: np.log(sp.bessel_j_complex_many((0,), z)[0])
-        assert num.mellin_contour_zeta(logp, ctr, 3.0) == \
+        assert num.mellin_contour_zeta(logp(ctr.ray_nodes()[0]), ctr, 3.0) == \
             pytest.approx(direct, abs=1e-9)
 
     def test_i0prime_product_direct_sum(self):
@@ -234,14 +234,14 @@ class TestContour:
             zeros, 3000, s)
         ctr = num.ContourSpec(c=1.0, truncation_radius=240.0)
         logp = lambda z: np.log(2.0 * sp.bessel_j_complex_many((1,), z)[1] / z)
-        val = num.mellin_contour_zeta(logp, ctr, s)
+        val = num.mellin_contour_zeta(logp(ctr.ray_nodes()[0]), ctr, s)
         assert val == pytest.approx(direct, abs=1e-6)
 
     def test_critical_values_sine(self):
         ctr = num.ContourSpec(c=0.5, truncation_radius=60.0)
         prof = num.AsymptoticProfile(d=-math.pi, a=0.5,
                                      b=math.log(2.0 * math.pi))
-        z0, z0p = num.mellin_zeta_critical_values(_sine_logp, ctr, prof)
+        z0, z0p = num.mellin_zeta_critical_values(_sine_logp(ctr.ray_nodes()[0]), ctr, prof)
         assert z0 == pytest.approx(-0.5, abs=1e-12)
         assert z0p == pytest.approx(-math.log(2.0 * math.pi), abs=1e-10)
 
@@ -255,15 +255,27 @@ class TestContour:
             vals[len(vals) // 2] = bad
             return vals
 
+        z = ctr.ray_nodes()[0]
         with pytest.raises(num.QuadratureError, match="not finite"):
-            num.mellin_contour_zeta(broken, ctr, 2.0)
+            num.mellin_contour_zeta(broken(z), ctr, 2.0)
         with pytest.raises(num.QuadratureError, match="not finite"):
-            num.mellin_zeta_critical_values(broken, ctr, prof)
+            num.mellin_zeta_critical_values(broken(z), ctr, prof)
+
+    @pytest.mark.parametrize("cut", [1, -1])
+    def test_samples_must_match_nodes(self, cut):
+        ctr = num.ContourSpec(c=0.5, truncation_radius=60.0)
+        prof = num.AsymptoticProfile(d=-math.pi, a=0.5, b=math.log(2.0 * math.pi))
+        z = ctr.ray_nodes()[0]
+        vals = _sine_logp(z[:-1] if cut == 1 else np.append(z, z[-1]))
+        with pytest.raises(ValueError, match="contour nodes"):
+            num.mellin_contour_zeta(vals, ctr, 2.0)
+        with pytest.raises(ValueError, match="contour nodes"):
+            num.mellin_zeta_critical_values(vals, ctr, prof)
 
     def test_requires_s_above_half(self):
         ctr = num.ContourSpec(c=0.5, truncation_radius=60.0)
         with pytest.raises(ValueError):
-            num.mellin_contour_zeta(_sine_logp, ctr, 0.4)
+            num.mellin_contour_zeta(_sine_logp(ctr.ray_nodes()[0]), ctr, 0.4)
 
 
 class TestProfileZetaOrientation:

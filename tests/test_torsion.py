@@ -76,6 +76,12 @@ class TestBottChern:
     def test_difference_at_m2(self):
         assert tor.quillen_anomaly(2) == pytest.approx(13.0 / 3.0, abs=1e-13)
 
+    @pytest.mark.parametrize("fn", [tor.bott_chern_ch_deg0, tor.bott_chern_td_deg0,
+                                    tor.quillen_canonical_log])
+    def test_unknown_route_rejected(self, fn):
+        with pytest.raises(ValueError, match="unknown route"):
+            fn(2, "closd")
+
 
 class TestQuillen:
     def test_canonical_m_independent(self):

@@ -16,10 +16,10 @@ ZP1 = riemann_zeta_prime(-1.0)
 class TestSequenceValues:
     def test_i0prime_sequence(self):
         # zeta_{J'_0}(0) = -3/4 and zeta'_{J'_0}(0) = (log 2 - log pi)/2
-        z0, z0p = zr._j0p_sequence_values("closed")
+        z0, z0p = -0.75, 0.5 * LOG2 - 0.5 * LOGPI
         assert z0 == -0.75
         assert z0p == pytest.approx(0.5 * LOG2 - 0.5 * LOGPI, abs=1e-15)
-        z0n, z0pn = zr._j0p_sequence_values("numeric")
+        z0n, z0pn = zr._j0p_sequence_values()
         assert z0n == pytest.approx(z0, abs=1e-9)
         assert z0pn == pytest.approx(z0p, abs=1e-8)
 
@@ -47,8 +47,9 @@ class TestSequenceValues:
 
     @pytest.mark.parametrize("nu,m", [(2, 1), (1, 2)])
     def test_contour_matches_closed(self, nu, m):
-        z0c, z0pc = zr._sequence_values(nu, m, "closed")
-        z0k, z0pk = zr._sequence_values(nu, m, "contour")
+        z0c, z0pc = zr.zeta_from_profile(zr.analytic_profile(nu, m))
+        (contour, vals), = zr._contour_samples(m, [nu])
+        z0k, z0pk = zr.mellin_zeta_critical_values(vals, contour, zr.analytic_profile(nu, m))
         assert z0k == pytest.approx(z0c, abs=1e-12)
         assert z0pk == pytest.approx(z0pc, abs=1e-8)
 
@@ -151,10 +152,29 @@ class TestBlocks:
                 -comp.A0_prime + comp.BP_limit + comp.F0_prime, abs=1e-12)
 
     def test_low_order_block_values(self):
-        vals = zr.low_order_sequence_values(2, "closed")
+        vals = zr.low_order_values(2, "closed")
         assert [(nu, w) for nu, w, *_ in vals] == [(0, 2), (1, 1)]
-        for nu, w, z0_exact, z0, z0p in vals:
-            assert z0_exact == Fraction(-4, 2)
+        for nu, w, z0, z0p in vals:
+            assert z0 == Fraction(-4, 2)
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ValueError, match="unknown route"):
+            zr.low_order_values(2, "closd")
+
+    def test_contour_route_solves_zeros_once(self, monkeypatch):
+        calls = []
+        solve = zr.besselx.zero_sequences
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        for key in [k for k in zr._CONTOUR_SAMPLES if k[1] == 4]:
+            monkeypatch.delitem(zr._CONTOUR_SAMPLES, key)
+        monkeypatch.setattr(zr.besselx, "zero_sequences", counted)
+        vals = zr.low_order_values(4, "contour")
+        assert len(calls) == 1
+        assert [(nu, w) for nu, w, *_ in vals] == [(0, 2), (1, 2), (2, 1)]
 
     def test_z_m_additivity_exact(self):
         for m in range(8):
@@ -247,12 +267,13 @@ class TestSpectralSums:
 
 class TestDirectZeroCache:
     def test_one_solve_serves_every_s(self, monkeypatch):
-        monkeypatch.setattr(zr, "_DIRECT_ZEROS", {})
+        zr._direct_zeros.cache_clear()
         cold = [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)]
-        zeros = zr._DIRECT_ZEROS[1]
         monkeypatch.setattr(zr.besselx, "zero_sequences", None)  # a warm call solves nothing
+        orders = (0, *range(2, 16))  # the low order of m = 1, then the family orders
+        zeros = zr._direct_zeros(1, orders)
         assert [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)] == cold
-        assert zr._DIRECT_ZEROS[1] is zeros and zeros.shape == (15, 60)
+        assert zr._direct_zeros(1, orders) is zeros and zeros.shape == (15, 60)
         with pytest.raises(ValueError):
             zeros[0, 0] = 0.0
 
