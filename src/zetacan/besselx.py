@@ -13,12 +13,14 @@ are simple, avoid the zeros of both J factors, and interlace the merged
 zero set of J_n and J_{n-m}: between consecutive cross-product zeros lies
 exactly one merged Bessel zero.  That interlacing supplies the root
 brackets used here: every gap is fine-scanned, so a missed sign change
-cannot silently drop a zero.  ``zero_sequences`` solves all the orders a
-caller asks for in one lockstep pass: one kernel pass probes every order's
-gaps, one Newton solve on the analytic derivative of L_n polishes every
-bracket, and one pass takes the residuals.  Cross products take arrays of
-points: L_n reads its J orders, negative ones too, from one kernel table,
-and log G_n its four I orders from one ``bessel_i_log`` call.
+cannot silently drop a zero.  ``zero_sequences`` solves all the (n, m)
+pairs a caller asks for, across twist degrees, in one lockstep pass: one
+kernel pass probes every pair's gaps, one Newton solve on the analytic
+derivative of L_n polishes every bracket, and one pass takes the residuals;
+``zeros`` and ``spectrum`` are views of it.  Cross products take arrays of
+points, with n and m per point: L_n reads its J orders, negative ones too,
+from one kernel table, and log G_n its four I orders from one
+``bessel_i_log`` call.
 
 Bessel zeros themselves are generated internally, all orders of a table at
 once: sign changes of one kernel pass over a unit grid bracket them, one
@@ -126,7 +128,7 @@ def _j_pair(kind: str, n: np.ndarray, x: np.ndarray):
     J_n' = (J_{n-1} - J_{n+1}) / 2 and J_n'' = -J_n'/x - (1 - n^2/x^2) J_n
     (Bessel's equation); each point's kernel pass stops at its own order n + 1.
     """
-    (jn, d), = _j_and_prime(n, (0,), n + 1, x)
+    (jn, d), = _j_and_prime(((n, 1),), n + 1, x)
     if kind == "j":
         return jn, d
     return d, -d / x - (1.0 - (n / x) ** 2) * jn
@@ -205,36 +207,45 @@ def bessel_j_zeros(order: int, count: int) -> np.ndarray:
 # Cross products
 # ----------------------------------------------------------------------
 
-def _j_and_prime(n, offsets, top, x):
-    """[(J_k(x), J_k'(x)) for k = n + o, o in offsets] from one kernel pass,
-    J_k' = (J_{k-1} - J_{k+1})/2, negative orders included.  x is a scalar or an
-    array; n and ``top``, the highest order a point needs, are integers or
-    integer arrays broadcast against x.  A point's pass stops at its own top,
-    so its values never depend on the other points of the call."""
-    x, n, top = np.broadcast_arrays(np.asarray(x, dtype=float), n, top)
+def _j_and_prime(runs, top, x):
+    """[(J_k(x), J_k'(x)) for k = b, b + 1, .., b + c - 1, for each run (b, c)
+    of ``runs``] from one kernel pass and one gather, J_k' = (J_{k-1} -
+    J_{k+1})/2, negative orders included.  x is a scalar or an array; each
+    run's base order b and ``top``, the highest order a point needs, are
+    integers or integer arrays broadcast against x.  A point's pass stops at
+    its own top, so its values never depend on the other points of the call."""
+    x, top, *bases = np.broadcast_arrays(np.asarray(x, dtype=float), top,
+                                         *(b for b, _ in runs))
     j = bessel_j_orders(top.ravel(), x.ravel())
-    offs = sorted({o + d for o in offsets for d in (-1, 0, 1)})
-    v = _j_signed(j, n.ravel() + np.array(offs)[:, None], np.arange(x.size))
-    J = {o: row.reshape(x.shape)[()] for o, row in zip(offs, v)}
-    return [(J[o], 0.5 * (J[o - 1] - J[o + 1])) for o in offsets]
+    # each run reads its orders b - 1 .. b + c
+    spans = [np.arange(-1, c + 1)[:, None] + b.ravel() for b, (_, c) in zip(bases, runs)]
+    J = [row[()] for row in _j_signed(j, np.concatenate(spans), np.arange(x.size))
+         .reshape((-1,) + x.shape)]
+    out, r = [], 0
+    for _, c in runs:
+        out += [(J[i], 0.5 * (J[i - 1] - J[i + 1])) for i in range(r + 1, r + c + 1)]
+        r += c + 2
+    return out
 
 
-def _cross_L_pair(n, m: int, x):
+def _cross_L_pair(n, m, x):
     """(L_n, dL_n/dx) at x (scalar or array) from one kernel pass; the order
-    n is an integer or an integer array broadcast against x."""
-    n = np.asarray(n)
-    (a, da), (b, db), (c, dc), (d, dd) = _j_and_prime(
-        n, (0, -m - 1, 1, -m), np.maximum(n + 2, np.abs(n - m - 2)), x)
+    n and twist degree m are integers or integer arrays broadcast against x."""
+    n, m = np.asarray(n), np.asarray(m)
+    (a, da), (c, dc), (b, db), (d, dd) = _j_and_prime(
+        ((n, 2), (n - m - 1, 2)), np.maximum(n + 2, np.abs(n - m - 2)), x)
     return -a * b + c * d, -da * b - a * db + dc * d + c * dd
 
 
-def cross_L(n: int, m: int, x):
-    """L_n(x) = -J_n J_{n-m-1} + J_{n+1} J_{n-m} at x (scalar or array)."""
+def cross_L(n, m, x):
+    """L_n(x) = -J_n J_{n-m-1} + J_{n+1} J_{n-m} at x (scalar or array); n
+    and m are integers or integer arrays broadcast against x."""
     return _cross_L_pair(n, m, x)[0]
 
 
-def cross_L_prime(n: int, m: int, x):
-    """dL_n/dx at x (scalar or array), from the analytic J derivatives."""
+def cross_L_prime(n, m, x):
+    """dL_n/dx at x, from the analytic J derivatives; arguments as for
+    ``cross_L``."""
     return _cross_L_pair(n, m, x)[1]
 
 
@@ -310,71 +321,82 @@ def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
     return rows, lo, hi, a[rows, cols] < 0.0
 
 
-def zero_sequences(m: int, orders, K: int) -> list:
-    """First K positive zeros of L_n (twist degree m) for every n in ``orders``.
+def zero_sequences(pairs, K: int) -> list:
+    """First K positive zeros of L_n (twist degree m) for every (n, m) in ``pairs``.
 
     The factorized cases (m = 0, where L_n = -2 J_n J_n', and the middle
     order n = m/2 for even m, where L reduces to +-2 J_{m/2} J_{m/2+1})
     read their zeros off the Bessel zero tables.  Otherwise the merged zeros
     of the two J factors bracket the roots: 33 probes scan the gap below the
     smallest factor zero and 13 each following gap, and an empty gap raises
-    BracketError naming its order, so the count is certified.  One kernel
-    pass probes all orders, one lockstep Newton solve on the analytic L_n'
-    polishes all brackets and one pass takes the residuals.  A value depends
-    only on its own order, so a batch equals one-order calls bit for bit;
-    the orders of one symmetry class share one result.
+    BracketError naming its order, so the count is certified.  A batch may
+    mix twist degrees: each zero table is sized once, to the largest order
+    and count the batch reads of it, one kernel pass probes all pairs, one
+    lockstep Newton solve on the analytic L_n' polishes all brackets and one
+    pass takes the residuals.  A value depends only on its own (n, m), so a
+    batch equals one-pair calls bit for bit; the pairs of one symmetry class
+    share one result.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    specs = [CrossProductSpec(n, m).canonical() for n in orders]
-    nus = list(dict.fromkeys(spec.n for spec in specs))
-    generic = np.array([nu for nu in nus if m > 0 and 2 * nu != m], dtype=int)
-    # the largest order's factors reach every table row the batch reads, so
-    # this sizes the zero tables once for the whole batch
-    _merged_factor_zeros(max(nus), m, K + 2 if generic.size else K)
-    lam = {nu: _merged_factor_zeros(nu, m, K)[:K] for nu in nus if nu not in generic}
-    if generic.size:
-        grid = np.array([_merged_factor_zeros(nu, m, K + 2) for nu in generic])
+    specs = [CrossProductSpec(n, m).canonical() for n, m in pairs]
+    keys = list(dict.fromkeys((spec.n, spec.m) for spec in specs))
+    generic = [(nu, m) for nu, m in keys if m > 0 and 2 * nu != m]
+    need = {}  # kind -> (largest order, largest count) the batch reads
+    for nu, m in keys:
+        count = K + 2 if m > 0 and 2 * nu != m else K
+        for kind, order in _factor_families(nu, m):
+            top, have = need.get(kind, (0, 0))
+            need[kind] = (max(top, abs(order)), max(have, count))
+    for kind, (order, count) in need.items():
+        _zero_table(kind, order, count)
+    lam = {key: _merged_factor_zeros(*key, K)[:K] for key in keys if key not in generic}
+    if generic:
+        gn, gm = np.array(generic).T
+        grid = np.array([_merged_factor_zeros(nu, m, K + 2) for nu, m in generic])
         first = np.linspace(0.05 * grid[:, 0], grid[:, 0] * (1 - 1e-12), 33, axis=1)
         gaps = np.linspace(grid[:, :K] * (1 + 1e-13), grid[:, 1:K + 1] * (1 - 1e-13), 13,
                            axis=2).reshape(-1, 13)
-        vals = cross_L(generic[:, None], m, np.hstack([first, gaps.reshape(generic.size, -1)]))
+        vals = cross_L(gn[:, None], gm[:, None],
+                       np.hstack([first, gaps.reshape(len(generic), -1)]))
         rows_below, *below = _sign_brackets(first, vals[:, :33])
         rows, *inside = _sign_brackets(gaps, vals[:, 33:].reshape(-1, 13))
-        # each order takes its gaps in order until K zeros are bracketed
+        # each pair takes its gaps in order until K zeros are bracketed
         per_gap = np.bincount(rows, minlength=gaps.shape[0]).reshape(-1, K)
-        n_below = np.bincount(rows_below, minlength=generic.size)[:, None]
+        n_below = np.bincount(rows_below, minlength=len(generic))[:, None]
         scanned = n_below + np.cumsum(per_gap, axis=1) - per_gap < K
         empty = np.argwhere(scanned & (per_gap == 0))
         if empty.size:
             o, i = empty[0]
             raise BracketError(
-                f"no sign change of L_{generic[o]} (m={m}) in factor-zero gap "
+                f"no sign change of L_{gn[o]} (m={gm[o]}) in factor-zero gap "
                 f"({grid[o, i]:.6f}, {grid[o, i + 1]:.6f})")
         keep = scanned.ravel()[rows]
-        owner = np.concatenate([generic[rows_below], generic[rows[keep] // K]])
+        owner = np.concatenate([rows_below, rows[keep] // K])  # index into generic
         lo, hi, rising = (np.concatenate([u, v[keep]]) for u, v in zip(below, inside))
         root = lo.copy()  # a probe that landed on a zero is that zero
         solve = np.flatnonzero(lo < hi)
-        root[solve] = newton_brackets(lambda x, idx: _cross_L_pair(owner[solve[idx]], m, x),
+        on, om = gn[owner[solve]], gm[owner[solve]]
+        root[solve] = newton_brackets(lambda x, idx: _cross_L_pair(on[idx], om[idx], x),
                                       lo[solve], hi[solve], rising[solve], tol=1e-12)
-        lam.update((nu, np.sort(root[owner == nu])[:K]) for nu in generic.tolist())
+        lam.update((key, np.sort(root[owner == i])[:K]) for i, key in enumerate(generic))
 
     # residuals at the zeros and local scales at the midpoints, one pass
-    z = np.array([lam[nu] for nu in nus])
+    z = np.array([lam[key] for key in keys])
     step = z[:, -1:] - z[:, -2:-1] if K > 1 else 1.0
     ext = np.hstack([z[:, :1] * 0.5, z, z[:, -1:] + step])
     mids = 0.5 * (ext[:, :-1] + ext[:, 1:])
-    at = np.abs(cross_L(np.array(nus)[:, None], m, np.hstack([z, mids])))
+    kn, km = np.array(keys).T
+    at = np.abs(cross_L(kn[:, None], km[:, None], np.hstack([z, mids])))
     scales = np.maximum(at[:, K:-1], at[:, K + 1:])
-    seqs = {nu: SpectralSequence(CrossProductSpec(nu, m), z[i], at[i, :K], scales[i])
-            for i, nu in enumerate(nus)}
-    return [seqs[spec.n] for spec in specs]
+    seqs = {key: SpectralSequence(CrossProductSpec(*key), z[i], at[i, :K], scales[i])
+            for i, key in enumerate(keys)}
+    return [seqs[(spec.n, spec.m)] for spec in specs]
 
 
 def zeros(spec: CrossProductSpec, K: int) -> SpectralSequence:
-    """First K positive zeros of L_n: ``zero_sequences`` for one order."""
-    return zero_sequences(spec.m, [spec.n], K)[0]
+    """First K positive zeros of L_n: ``zero_sequences`` for one pair."""
+    return zero_sequences([(spec.n, spec.m)], K)[0]
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +486,7 @@ def spectrum(m: int, n_orders: int, K: int) -> Spectrum:
         raise ValueError("require m >= 0 and n_orders, K >= 1")
     entries = []
     orders = canonical_orders(m, n_orders)
-    for (nu, mult), seq in zip(orders, zero_sequences(m, [nu for nu, _ in orders], K)):
+    for (nu, mult), seq in zip(orders, zero_sequences([(nu, m) for nu, _ in orders], K)):
         for k, lam in enumerate(seq.zeros, start=1):
             entries.append(SpectrumEntry(
                 eigenvalue=float(lam) ** 2 / 4.0, multiplicity=mult,
@@ -490,7 +512,7 @@ def eigenfunction_radial(nu: int, m: int, lam: float, r: float) -> float:
     return bessel_j(nu, lam) / bessel_j(nu - m, lam) * r ** m * bessel_j(nu - m, lam / r)
 
 
-def eigen_norm_check(nu: int, m: int, lam):
+def eigen_norm_check(nu, m, lam):
     """Both sides of  L_nu'(lambda) = 2 (J_{nu-m}/J_nu)(lambda) * I(lambda).
 
     I is the closed-form squared norm of the radial eigenfunction
@@ -499,12 +521,15 @@ def eigen_norm_check(nu: int, m: int, lam):
         I = (1/2) (J_nu'^2 + (1 - nu^2/lam^2) J_nu^2)
           + (J_nu^2 / (2 J_{nu-m}^2)) (J_{nu-m}'^2 + (1 - (nu-m)^2/lam^2) J_{nu-m}^2),
 
-    everything evaluated at lambda, a scalar or an array (one kernel pass
-    for all).  Returns (lhs, rhs); at a true simple zero of L_nu they agree.
+    everything evaluated at lambda, a scalar or an array; nu and m are
+    integers or integer arrays broadcast against it, so many orders and twist
+    degrees go through one call.  Returns (lhs, rhs); at a true simple zero
+    of L_nu they agree.
     """
-    lam = np.asarray(lam, dtype=float)
+    nu, m, lam = np.asarray(nu), np.asarray(m), np.asarray(lam, dtype=float)
     lhs = cross_L_prime(nu, m, lam)
-    (ja, jap), (jb, jbp) = _j_and_prime(nu, (0, -m), max(abs(nu), abs(nu - m)) + 1, lam)
+    (ja, jap), (jb, jbp) = _j_and_prime(((nu, 1), (nu - m, 1)),
+                                        np.maximum(np.abs(nu), np.abs(nu - m)) + 1, lam)
     if np.any(ja == 0.0) or np.any(jb == 0.0):
         raise ValueError("cross-product zeros avoid the factor zeros; "
                          "got a vanishing Bessel factor")

@@ -10,8 +10,9 @@ Riemann zeta values for s < -1/2 go through the functional equation.
 The Bessel layer is array-first.  ``bessel_j_orders`` yields J_0 .. J_n at
 every point of a real or complex array from one downward (Miller)
 recurrence, normalized by the Neumann series (against ``cos z`` where the
-imaginary part is large).  A point's values never depend on the other rows
-of the call, so many contours go through one pass.  ``bessel_j``,
+imaginary part is large).  Each point starts the recurrence at its own
+index, so its values never depend on the other points of the call and many
+contours go through one pass.  ``bessel_j``,
 ``bessel_j_many`` and ``bessel_j_complex_many`` are thin views of its
 table, and ``_j_signed`` is the one reader of negative orders in it.
 ``bessel_i_log`` gives log I_n(x) for orders and points broadcast together,
@@ -297,10 +298,10 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     1, or, for complex points with |Im z| > 1 where that sum cancels
     exponentially, cos z = J_0 + 2 sum (-1)^k J_2k.  ``n_max`` may be an
     integer array broadcast against ``x`` giving each point's highest order
-    (orders above it are not accurate there).  Real points each start the
-    recurrence at their own index.  Complex points start at the index set by
-    the largest |z| and highest order of their row (the last axis; a 1-d
-    array is one row), so a row's values never depend on the other rows.
+    (orders above it are not accurate there).  Every point, real or complex,
+    starts the recurrence at its own index, set by its own |x| and highest
+    order, so a point's values never depend on the other points of the call,
+    and a small |z| is not run up from the start that a large |z| needs.
 
     A step costs a few ufunc calls whatever the number of points, so the
     loop writes every step into preallocated buffers, in the operation
@@ -318,13 +319,7 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     zero = x == 0.0
     if zero.any():
         x = np.where(zero, 1.0, x)
-    if cplx:
-        rows = np.atleast_1d(x)
-        xa = np.maximum(np.max(np.abs(rows), axis=-1, keepdims=True), 1.0)
-        tops = np.max(np.broadcast_to(n_max, rows.shape), axis=-1, keepdims=True)
-        start = np.broadcast_to(_miller_start(tops, xa).astype(int), rows.shape)
-    else:
-        start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
+    start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
     # the recurrence is pointwise: run it on flat arrays
     x, zero = x.reshape(-1), zero.reshape(-1)
     # points grouped by start index: group g is order[edges[g]:edges[g + 1]]
@@ -396,10 +391,11 @@ def bessel_j_complex_many(orders, z: np.ndarray) -> np.ndarray:
     """J_0 .. J_n on an array of complex points from one kernel pass, as the
     kernel's table (row k is J_k(z)), n the largest of ``orders``.  For a 1-d
     ``z``, ``orders`` lists the nonnegative orders needed; for a ``z`` of
-    shape (rows, nodes) it has shape (rows, k), the orders each row needs,
-    and each row's recurrence starts from its own largest order, so a row
-    equals its one-row call bit for bit.  This is the rotation backend for
-    modified Bessel functions at complex argument, I_n(z) = i^{-n} J_n(iz).
+    shape (rows, nodes) it has shape (rows, k), the orders each row needs.
+    Each point's recurrence starts from its own |z| and its row's largest
+    order, so a point equals its one-point call with that order bit for bit.
+    This is the rotation backend for modified Bessel functions at complex
+    argument, I_n(z) = i^{-n} J_n(iz).
     """
     orders = np.asarray(orders, dtype=int)
     if orders.min() < 0:

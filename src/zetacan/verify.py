@@ -99,33 +99,33 @@ def _alternates(lam, fam_a, fam_b) -> bool:
 
 def suite_interlacing():
     out = []
-    worst_res = 0.0
     interlace_ok = True
-    simple_ok = True
     K = 50
-    for m in range(4):
-        nus = list(dict.fromkeys(max(n, m - n) for n in range(11)))
-        for nu, seq in zip(nus, besselx.zero_sequences(m, nus, K)):
-            lam = seq.zeros
-            worst_res = max(worst_res, float(np.max(seq.residuals / seq.local_scales)))
-            factorized = (m == 0) or (m % 2 == 0 and nu == m // 2)
-            if factorized:
-                # L factors as +-2 J_a J_b: zeros are the union of the two
-                # families, which must strictly alternate
-                fam_a, fam_b = (besselx._zero_table(kind, order, K + 2)
-                                for kind, order in besselx._factor_families(nu, m))
-                if not _alternates(lam, fam_a, fam_b):
-                    interlace_ok = False
-            else:
-                merged = besselx._merged_factor_zeros(nu, m, K + 4)
-                counts = [np.sum((merged > lam[i]) & (merged < lam[i + 1]))
-                          for i in range(len(lam) - 1)]
-                if any(c != 1 for c in counts):
-                    interlace_ok = False
-                derivs = besselx.cross_L_prime(nu, m, lam[:12])
-                signs = np.sign(derivs)
-                if np.any(signs == 0) or np.any(signs[1:] * signs[:-1] >= 0):
-                    simple_ok = False
+    keys = [(nu, m) for m in range(4)
+            for nu in dict.fromkeys(max(n, m - n) for n in range(11))]
+    seqs = besselx.zero_sequences(keys, K)
+    worst_res = max(float(np.max(seq.residuals / seq.local_scales)) for seq in seqs)
+    generic = []
+    for (nu, m), seq in zip(keys, seqs):
+        lam = seq.zeros
+        if (m == 0) or (m % 2 == 0 and nu == m // 2):
+            # L factors as +-2 J_a J_b: zeros are the union of the two
+            # families, which must strictly alternate
+            fam_a, fam_b = (besselx._zero_table(kind, order, K + 2)
+                            for kind, order in besselx._factor_families(nu, m))
+            if not _alternates(lam, fam_a, fam_b):
+                interlace_ok = False
+        else:
+            merged = besselx._merged_factor_zeros(nu, m, K + 4)
+            counts = [np.sum((merged > lam[i]) & (merged < lam[i + 1]))
+                      for i in range(len(lam) - 1)]
+            if any(c != 1 for c in counts):
+                interlace_ok = False
+            generic.append((nu, m, lam[:12]))
+    # derivative signs at the first 12 zeros of every generic order, one pass
+    gn, gm, lam = (np.array(a) for a in zip(*generic))
+    signs = np.sign(besselx.cross_L_prime(gn[:, None], gm[:, None], lam))
+    simple_ok = not (np.any(signs == 0) or np.any(signs[:, 1:] * signs[:, :-1] >= 0))
     out.append(_check_true(
         "interlacing: exactly one merged factor zero per gap (n<=10, m<=3, K=50)",
         interlace_ok))
@@ -133,27 +133,26 @@ def suite_interlacing():
                            simple_ok))
     out.append(_check_true("interlacing: residual below 1e-10 x local scale",
                            worst_res <= 1e-10, f"worst={worst_res:.3e}"))
-    firsts = besselx.zero_sequences(2, range(3, 23), 1)
+    firsts = besselx.zero_sequences([(n, 2) for n in range(3, 23)], 1)
     worst_lower = min(seq.zeros[0] - n for n, seq in zip(range(1, 21), firsts))
     out.append(_check_true("interlacing: lambda_{n+m,1} >= n (n <= 20, m = 2)",
                            worst_lower >= 0.0, f"min margin={worst_lower:.3f}"))
+    # one K = 10 solve for the symmetry check and the derivative-norm sweep
+    keys = [(3, 3)] + [(nu, m) for m in range(4) for nu in range(m + 1, m + 4)]
+    seq, *seqs = besselx.zero_sequences(keys, 10)
     # the solver canonicalizes n -> m - n, so the mirror order's own cross
     # product L_0 (m = 3) is evaluated at the zeros solved for L_3
-    seq = besselx.zeros(CrossProductSpec(3, 3), 10)
     sym = float(np.max(np.abs(besselx.cross_L(0, 3, seq.zeros)) / seq.local_scales))
     out.append(_check_true("interlacing: symmetry Z_n = Z_{m-n}", sym <= 1e-10,
                            f"worst={sym:.3e}"))
-    worst_norm = 0.0
-    for m in range(4):
-        nus = range(m + 1, m + 4)
-        for nu, seq in zip(nus, besselx.zero_sequences(m, nus, 10)):
-            lam = seq.zeros
-            if m == 0:
-                # m = 0 factorizes as -2 J J'; at the J zeros the factor in
-                # the identity's hypothesis vanishes, so skip them
-                lam = lam[np.abs(bessel_j_many((nu,), lam)[nu]) >= 1e-8]
-            lhs, rhs = besselx.eigen_norm_check(nu, m, lam)
-            worst_norm = max(worst_norm, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
+    nu, m = (np.array(a)[:, None] for a in zip(*keys[1:]))
+    lam = np.array([seq.zeros for seq in seqs])
+    # m = 0 factorizes as -2 J J'; at the J zeros the factor in the
+    # identity's hypothesis vanishes, so skip them
+    keep = (m != 0) | (np.abs(besselx._j_pair("j", nu, lam)[0]) >= 1e-8)
+    nu, m = (np.broadcast_to(a, lam.shape)[keep] for a in (nu, m))
+    lhs, rhs = besselx.eigen_norm_check(nu, m, lam[keep])
+    worst_norm = float(np.max(np.abs(lhs - rhs) / np.abs(rhs)))
     out.append(_check_true("interlacing: derivative-norm identity (<= 1e-6)",
                            worst_norm <= 1e-6, f"worst rel={worst_norm:.3e}"))
     return out
@@ -163,17 +162,17 @@ def suite_sumrule():
     out = []
     worst2 = worst4 = 0.0
     K = 60
-    for m in range(5):
-        orders = [nu for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8]
-        for nu, seq in zip(orders, besselx.zero_sequences(m, orders, K)):
-            s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
-                seq.zeros, K, 1.0, slope=math.pi / 2.0)
-            worst2 = max(worst2, abs(s2 - float(besselx.taylor_sum_rule_exact(
-                CrossProductSpec(nu, m), 2))))
-            s4 = float(np.sum(seq.zeros ** -4.0)) + zero_tail_sum(
-                seq.zeros, K, 2.0, slope=math.pi / 2.0)
-            worst4 = max(worst4, abs(s4 - float(besselx.taylor_sum_rule_exact(
-                CrossProductSpec(nu, m), 4))))
+    keys = [(nu, m) for m in range(5)
+            for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8]
+    for (nu, m), seq in zip(keys, besselx.zero_sequences(keys, K)):
+        s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
+            seq.zeros, K, 1.0, slope=math.pi / 2.0)
+        worst2 = max(worst2, abs(s2 - float(besselx.taylor_sum_rule_exact(
+            CrossProductSpec(nu, m), 2))))
+        s4 = float(np.sum(seq.zeros ** -4.0)) + zero_tail_sum(
+            seq.zeros, K, 2.0, slope=math.pi / 2.0)
+        worst4 = max(worst4, abs(s4 - float(besselx.taylor_sum_rule_exact(
+            CrossProductSpec(nu, m), 4))))
     out.append(_check_true(
         "sumrule: zeros+tail vs Taylor oracle, power 2 (m<=4)",
         worst2 <= 1e-6, f"worst={worst2:.3e}"))

@@ -37,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import besselx
-from .besselx import CrossProductSpec, cross_G_norm_log, small_z_coefficient, small_z_exponent
+from .besselx import cross_G_norm_log, small_z_coefficient, small_z_exponent
 from .numerics import (AsymptoticProfile, ContourSpec, FitError,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
@@ -230,7 +230,7 @@ def _contour_samples(m: int, orders) -> list:
     new = sorted(nu for nu in set(nus) if (nu, m) not in _CONTOUR_SAMPLES)
     if new:
         contours = [ContourSpec(c=0.5 * float(seq.zeros[0]), truncation_radius=240.0)
-                    for seq in besselx.zero_sequences(m, new, 1)]
+                    for seq in besselx.zero_sequences([(nu, m) for nu in new], 1)]
         z = np.array([contour.ray_nodes()[0] for contour in contours])
         i = 0
         while i < len(new):
@@ -588,7 +588,7 @@ def _spectral_sum(m: int, s: float, order_zetas) -> float:
 @functools.cache
 def _direct_zeros(m: int, orders: tuple) -> np.ndarray:
     """The first 60 zeros of each of ``orders``, one row per order, read-only."""
-    zeros = np.array([seq.zeros for seq in besselx.zero_sequences(m, orders, 60)])
+    zeros = np.array([seq.zeros for seq in besselx.zero_sequences([(nu, m) for nu in orders], 60)])
     zeros.flags.writeable = False
     return zeros
 

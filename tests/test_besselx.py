@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 from fractions import Fraction
@@ -183,7 +184,7 @@ class TestZeroSequences:
 
 
 class TestBatchedSequences:
-    """zero_sequences solves many orders at once; batching changes no bit."""
+    """zero_sequences solves many (n, m) pairs at once; batching changes no bit."""
 
     @staticmethod
     def _orders(m):
@@ -191,20 +192,42 @@ class TestBatchedSequences:
         # order m/2 and family orders
         return [0, m, m // 2, m + 1, max(m - 1, 0), m + 3, m + 1, 1, m, m // 2]
 
+    @staticmethod
+    def _assert_same(got, want, label):
+        for field in dataclasses.fields(bx.SpectralSequence):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert (a == b) if field.name == "spec" else np.array_equal(a, b), \
+                (label, field.name)
+
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
     @pytest.mark.parametrize("K", [1, 8, 50])
     def test_batch_equals_solo(self, m, K, monkeypatch):
         monkeypatch.setattr(bx, "_ZERO_TABLES", {})
         orders = self._orders(m)
-        batch = bx.zero_sequences(m, orders, K)
+        batch = bx.zero_sequences([(n, m) for n in orders], K)
         assert len(batch) == len(orders)
         for n, got in zip(orders, batch):
             solo = bx.zeros(bx.CrossProductSpec(n, m), K)
             assert got.spec == solo.spec == bx.CrossProductSpec(n, m).canonical()
-            for field in ("zeros", "residuals", "local_scales"):
-                assert np.array_equal(getattr(got, field), getattr(solo, field)), \
-                    (n, field)
+            self._assert_same(got, solo, n)
             assert len(got.zeros) == K
+
+    @pytest.mark.parametrize("K", [1, 8, 50])
+    def test_mixed_twist_degrees_equal_per_m_calls(self, K, monkeypatch):
+        # one batch over six twist degrees, with m = 0 (J J' factors), even m
+        # (the middle order's J_{m/2} J_{m/2+1} factors) and odd m, in an
+        # order that is neither sorted by m nor by n; cold tables both times
+        degrees = (5, 0, 30, 2, 17, 1)
+        pairs = [(n, m) for m in degrees for n in self._orders(m)][::-1]
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        batch = dict(zip(pairs, bx.zero_sequences(pairs, K)))
+        for m in degrees:
+            monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+            orders = self._orders(m)
+            for n, want in zip(orders, bx.zero_sequences([(n, m) for n in orders], K)):
+                self._assert_same(batch[(n, m)], want, (n, m))
+        # the pairs of one symmetry class share one result
+        assert batch[(0, 30)] is batch[(30, 30)]
 
     def test_empty_gap_names_its_order(self, monkeypatch):
         # flatten L_7 on its probes: its gaps hold no sign change
@@ -217,11 +240,11 @@ class TestBatchedSequences:
 
         monkeypatch.setattr(bx, "cross_L", flat_7)
         with pytest.raises(BracketError, match=r"L_7 \(m=2\)"):
-            bx.zero_sequences(2, [3, 5, 7, 9], 6)
+            bx.zero_sequences([(5, 1), (3, 2), (5, 2), (7, 2), (9, 2), (6, 4)], 6)
 
     def test_rejects_empty_count(self):
         with pytest.raises(ValueError):
-            bx.zero_sequences(2, [3], 0)
+            bx.zero_sequences([(3, 2)], 0)
 
 
 class TestSumRules:
@@ -298,6 +321,22 @@ class TestEigenNorm:
         assert lhs.shape == rhs.shape == lam.shape
         for i, x in enumerate(lam):
             assert bx.eigen_norm_check(nu, m, float(x)) == (lhs[i], rhs[i])
+
+    def test_mixed_arrays_equal_scalar_calls(self):
+        # orders and twist degrees as arrays broadcast against the points
+        nu = np.array([[4], [2], [6], [3]])
+        m = np.array([[1], [0], [3], [2]])
+        lam = np.array([bx.zeros(bx.CrossProductSpec(int(n), int(d)), 6).zeros
+                        for n, d in zip(nu[:, 0], m[:, 0])])
+        lam[1] += 0.25  # off the J zeros of the m = 0 order, where J_nu vanishes
+        lhs, rhs = bx.eigen_norm_check(nu, m, lam)
+        dl = bx.cross_L_prime(nu, m, lam)
+        assert lhs.shape == rhs.shape == lam.shape
+        for (i, k), x in np.ndenumerate(lam):
+            n, d = int(nu[i, 0]), int(m[i, 0])
+            assert bx.eigen_norm_check(n, d, float(x)) == (lhs[i, k], rhs[i, k])
+            assert bx.cross_L_prime(n, d, float(x)) == dl[i, k]
+            assert bx.cross_L(n, d, float(x)) == bx.cross_L(nu, m, lam)[i, k]
 
     def test_norm_integral_closed_form(self):
         # int_0^1 x J_n(a x)^2 dx = (1/2) J_n'(a)^2 at a = j_{n,1}

@@ -1,11 +1,16 @@
-"""The J kernel against a frozen copy of its earlier implementation.
+"""The J kernel against a frozen copy of an earlier implementation.
 
 ``bessel_j_orders`` writes every recurrence step into preallocated buffers
 and bounds |f| from the magnitudes its rescale screen already computed.
 Neither change may move a bit: the reference below is the kernel as it was
 before, with a fresh array per operation and a rescale that rescans the
-whole array, and every output must equal it bit for bit, NaN and the sign
-of zero included.
+whole array, and every real output must equal it bit for bit, NaN and the
+sign of zero included.
+
+The reference started every complex point of a row at the index of the
+row's largest |z|; the kernel now starts each complex point at its own
+index, as real points always did.  So each complex point must equal the
+reference run on that point alone, as a one-point row, bit for bit.
 """
 
 import math
@@ -115,6 +120,21 @@ def _assert_same_bits(n_max, x):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _assert_points_take_their_one_point_rows(n_max, z):
+    # a reference call on z reshaped to (points, 1) runs every point as its
+    # own one-point row (test_reshape_is_one_point_calls checks this)
+    z = np.asarray(z)
+    got = sp.bessel_j_orders(n_max, z)
+    want = _ref_bessel_j_orders(np.broadcast_to(n_max, z.shape).reshape(-1, 1),
+                                z.reshape(-1, 1))[..., 0]
+    assert got.shape == (want.shape[0],) + z.shape
+    assert np.array_equal(_bits(got.reshape(want.shape)), _bits(want))
+
+
 def _real_points(rng):
     return np.concatenate([rng.uniform(-60.0, 250.0, 120), [0.0, -0.0, -3.5, -120.0],
                            10.0 ** rng.uniform(-6.0, 0.0, 40)])
@@ -148,7 +168,7 @@ def test_complex_one_row(seed):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-40.0, 40.0, 200) + 1j * rng.uniform(-30.0, 30.0, 200)
     z[:3] = [0.0, 2.0, 1j]
-    _assert_same_bits(25, z)
+    _assert_points_take_their_one_point_rows(25, z)
 
 
 @pytest.mark.parametrize("z", [0.5 - 0.2j, 3.0 + 4.0j, -10.0 - 0.1j])
@@ -167,7 +187,20 @@ def test_complex_scalar_takes_its_one_point_row(z):
 def test_complex_rows_with_own_tops(seed):
     rng = np.random.default_rng(seed)
     z = rng.uniform(-20.0, 20.0, (5, 60)) + 1j * rng.uniform(-8.0, 8.0, (5, 60))
-    _assert_same_bits(rng.integers(0, 50, (5, 1)), z)
+    _assert_points_take_their_one_point_rows(rng.integers(0, 50, (5, 1)), z)
+
+
+def test_reshape_is_one_point_calls():
+    # a (points, 1) reference call equals one reference call per point, on
+    # the rows up to each point's own top
+    rng = np.random.default_rng(10)
+    z = np.concatenate([[0.0, 0.3 + 0.1j, 2.0j, 250.0 + 40.0j],
+                        rng.uniform(-60.0, 60.0, 8) + 1j * rng.uniform(-20.0, 20.0, 8)])
+    tops = rng.integers(0, 64, z.size)
+    want = _ref_bessel_j_orders(tops.reshape(-1, 1), z.reshape(-1, 1))[..., 0]
+    for i, (x, top) in enumerate(zip(z, tops)):
+        one = _ref_bessel_j_orders(int(top), np.array([x]))[:, 0]
+        assert np.array_equal(_bits(one), _bits(want[:top + 1, i]))
 
 
 def test_contour_like_points():
@@ -177,6 +210,6 @@ def test_contour_like_points():
             (0.5, 300.0, 64)]
     z = np.array([c + length * t for c, length, _ in rows])
     tops = np.array([[top] for *_, top in rows])
-    _assert_same_bits(tops, z)
+    _assert_points_take_their_one_point_rows(tops, z)
     for i, (*_, top) in enumerate(rows):
-        _assert_same_bits(top, z[i])
+        _assert_points_take_their_one_point_rows(top, z[i])

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from zetacan import special
 from zetacan import zetareg as zr
 from zetacan.special import EULER_GAMMA, riemann_zeta_prime
 
@@ -288,6 +289,24 @@ class TestContourSampleCache:
         assert zr._CONTOUR_SAMPLES.keys() == cached.keys()
         assert all(zr._CONTOUR_SAMPLES[k] is v for k, v in cached.items())
         assert warm == cold
+
+    def test_m1_pass_rescales_rarely(self, monkeypatch):
+        # every complex point starts its recurrence at its own index, so on
+        # the 15 x 1072 contour points of m = 1 almost no running value
+        # passes 1e280 (a start shared by a row, from its largest |z|, took
+        # 391 rescale tests here)
+        calls = []
+        rescale = special._rescale
+
+        def counted(k, out, f, *rest):
+            calls.append(f.dtype.kind == "c")
+            return rescale(k, out, f, *rest)
+
+        for key in [k for k in zr._CONTOUR_SAMPLES if k[1] == 1]:
+            monkeypatch.delitem(zr._CONTOUR_SAMPLES, key)
+        monkeypatch.setattr(special, "_rescale", counted)
+        zr.spectral_zeta_contour(1, 2.0)
+        assert sum(calls) <= 20
 
     def test_cached_samples_are_read_only(self):
         (contour, vals), = zr._contour_samples(1, [0])
