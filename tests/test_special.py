@@ -196,9 +196,9 @@ class TestKernel:
             assert np.array_equal(together[:n + 1, i], alone[:, 0])
 
     def test_complex_bit_identical_to_fixture(self):
-        # values captured from the previous complex recurrence at contour
-        # nodes of the zeta contour route; the kernel must reproduce them
-        # exactly so contour-route results do not move
+        # values captured at contour nodes of the zeta contour route, each
+        # point starting its recurrence at its own index; the kernel must
+        # reproduce them exactly so contour-route results do not move
         from pathlib import Path
 
         with np.load(Path(__file__).parent / "golden" / "complex_j.npz") as d:
