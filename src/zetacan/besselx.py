@@ -128,7 +128,7 @@ def _j_pair(kind: str, n: np.ndarray, x: np.ndarray):
     J_n' = (J_{n-1} - J_{n+1}) / 2 and J_n'' = -J_n'/x - (1 - n^2/x^2) J_n
     (Bessel's equation); each point's kernel pass stops at its own order n + 1.
     """
-    (jn, d), = _j_and_prime(((n, 1),), n + 1, x)
+    (jn, d), = _j_and_prime((n,), 1, n + 1, x)
     if kind == "j":
         return jn, d
     return d, -d / x - (1.0 - (n / x) ** 2) * jn
@@ -207,25 +207,20 @@ def bessel_j_zeros(order: int, count: int) -> np.ndarray:
 # Cross products
 # ----------------------------------------------------------------------
 
-def _j_and_prime(runs, top, x):
-    """[(J_k(x), J_k'(x)) for k = b, b + 1, .., b + c - 1, for each run (b, c)
-    of ``runs``] from one kernel pass and one gather, J_k' = (J_{k-1} -
-    J_{k+1})/2, negative orders included.  x is a scalar or an array; each
-    run's base order b and ``top``, the highest order a point needs, are
-    integers or integer arrays broadcast against x.  A point's pass stops at
-    its own top, so its values never depend on the other points of the call."""
-    x, top, *bases = np.broadcast_arrays(np.asarray(x, dtype=float), top,
-                                         *(b for b, _ in runs))
+def _j_and_prime(bases, count, top, x):
+    """[(J_k(x), J_k'(x)) for k = b .. b + count - 1, for each b in ``bases``]
+    from one kernel pass and one gather, J_k' = (J_{k-1} - J_{k+1})/2,
+    negative orders included.  x is a scalar or an array; each base order b
+    and ``top``, the highest order a point needs, are integers or integer
+    arrays broadcast against x.  A point's pass stops at its own top, so its
+    values never depend on the other points of the call."""
+    x, top, *bases = np.broadcast_arrays(np.asarray(x, dtype=float), top, *bases)
     j = bessel_j_orders(top.ravel(), x.ravel())
-    # each run reads its orders b - 1 .. b + c
-    spans = [np.arange(-1, c + 1)[:, None] + b.ravel() for b, (_, c) in zip(bases, runs)]
-    J = [row[()] for row in _j_signed(j, np.concatenate(spans), np.arange(x.size))
-         .reshape((-1,) + x.shape)]
-    out, r = [], 0
-    for _, c in runs:
-        out += [(J[i], 0.5 * (J[i - 1] - J[i + 1])) for i in range(r + 1, r + c + 1)]
-        r += c + 2
-    return out
+    # each base b reads its orders b - 1 .. b + count
+    q = np.concatenate([np.arange(-1, count + 1)[:, None] + b.ravel() for b in bases])
+    J = [row[()] for row in _j_signed(j, q, np.arange(x.size)).reshape((-1,) + x.shape)]
+    return [(J[i], 0.5 * (J[i - 1] - J[i + 1]))
+            for r in range(0, len(J), count + 2) for i in range(r + 1, r + count + 1)]
 
 
 def _cross_L_pair(n, m, x):
@@ -233,7 +228,7 @@ def _cross_L_pair(n, m, x):
     n and twist degree m are integers or integer arrays broadcast against x."""
     n, m = np.asarray(n), np.asarray(m)
     (a, da), (c, dc), (b, db), (d, dd) = _j_and_prime(
-        ((n, 2), (n - m - 1, 2)), np.maximum(n + 2, np.abs(n - m - 2)), x)
+        (n, n - m - 1), 2, np.maximum(n + 2, np.abs(n - m - 2)), x)
     return -a * b + c * d, -da * b - a * db + dc * d + c * dd
 
 
@@ -342,14 +337,11 @@ def zero_sequences(pairs, K: int) -> list:
     specs = [CrossProductSpec(n, m).canonical() for n, m in pairs]
     keys = list(dict.fromkeys((spec.n, spec.m) for spec in specs))
     generic = [(nu, m) for nu, m in keys if m > 0 and 2 * nu != m]
-    need = {}  # kind -> (largest order, largest count) the batch reads
-    for nu, m in keys:
-        count = K + 2 if m > 0 and 2 * nu != m else K
-        for kind, order in _factor_families(nu, m):
-            top, have = need.get(kind, (0, 0))
-            need[kind] = (max(top, abs(order)), max(have, count))
-    for kind, (order, count) in need.items():
-        _zero_table(kind, order, count)
+    # size each zero table once, to the largest order and count the batch reads
+    reads = [(kind, abs(order), K + 2 if key in generic else K)
+             for key in keys for kind, order in _factor_families(*key)]
+    for kind in dict.fromkeys(kind for kind, *_ in reads):
+        _zero_table(kind, *(max(r[i] for r in reads if r[0] == kind) for i in (1, 2)))
     lam = {key: _merged_factor_zeros(*key, K)[:K] for key in keys if key not in generic}
     if generic:
         gn, gm = np.array(generic).T
@@ -528,7 +520,7 @@ def eigen_norm_check(nu, m, lam):
     """
     nu, m, lam = np.asarray(nu), np.asarray(m), np.asarray(lam, dtype=float)
     lhs = cross_L_prime(nu, m, lam)
-    (ja, jap), (jb, jbp) = _j_and_prime(((nu, 1), (nu - m, 1)),
+    (ja, jap), (jb, jbp) = _j_and_prime((nu, nu - m), 1,
                                         np.maximum(np.abs(nu), np.abs(nu - m)) + 1, lam)
     if np.any(ja == 0.0) or np.any(jb == 0.0):
         raise ValueError("cross-product zeros avoid the factor zeros; "

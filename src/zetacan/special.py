@@ -253,11 +253,6 @@ def riemann_zeta_prime(s: float) -> float:
 # Bessel J
 # ----------------------------------------------------------------------
 
-def _miller_start(n_max, xa):
-    # xa = max(|x|, 1); one index past which J is negligible for orders <= n_max
-    return np.maximum(n_max, xa) + 12.0 * xa ** (1.0 / 3.0) + 22
-
-
 def _rescale(k, out, f, fp, *sums):
     """Multiply f, fp, each of ``sums`` and rows k.. of ``out`` by 1e-280 at
     the points where |f| > 1e280; returns (f, fp, *sums, bound on |f|,
@@ -319,7 +314,9 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     zero = x == 0.0
     if zero.any():
         x = np.where(zero, 1.0, x)
-    start = _miller_start(n_max, np.maximum(np.abs(x), 1.0)).astype(int)
+    # each point's start: an index past which J is negligible for its orders
+    xa = np.maximum(np.abs(x), 1.0)
+    start = (np.maximum(n_max, xa) + 12.0 * xa ** (1.0 / 3.0) + 22).astype(int)
     # the recurrence is pointwise: run it on flat arrays
     x, zero = x.reshape(-1), zero.reshape(-1)
     # points grouped by start index: group g is order[edges[g]:edges[g + 1]]

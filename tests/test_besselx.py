@@ -330,13 +330,13 @@ class TestEigenNorm:
                         for n, d in zip(nu[:, 0], m[:, 0])])
         lam[1] += 0.25  # off the J zeros of the m = 0 order, where J_nu vanishes
         lhs, rhs = bx.eigen_norm_check(nu, m, lam)
-        dl = bx.cross_L_prime(nu, m, lam)
-        assert lhs.shape == rhs.shape == lam.shape
+        L, dL = bx.cross_L(nu, m, lam), bx.cross_L_prime(nu, m, lam)
+        assert lhs.shape == rhs.shape == L.shape == dL.shape == lam.shape
         for (i, k), x in np.ndenumerate(lam):
             n, d = int(nu[i, 0]), int(m[i, 0])
             assert bx.eigen_norm_check(n, d, float(x)) == (lhs[i, k], rhs[i, k])
-            assert bx.cross_L_prime(n, d, float(x)) == dl[i, k]
-            assert bx.cross_L(n, d, float(x)) == bx.cross_L(nu, m, lam)[i, k]
+            assert (bx.cross_L(n, d, float(x)), bx.cross_L_prime(n, d, float(x))) == \
+                (L[i, k], dL[i, k])
 
     def test_norm_integral_closed_form(self):
         # int_0^1 x J_n(a x)^2 dx = (1/2) J_n'(a)^2 at a = j_{n,1}
