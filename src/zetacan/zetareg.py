@@ -588,7 +588,8 @@ def _spectral_sum(m: int, s: float, order_zetas) -> float:
 @functools.cache
 def _direct_zeros(m: int, orders: tuple) -> np.ndarray:
     """The first 60 zeros of each of ``orders``, one row per order, read-only."""
-    zeros = np.array([seq.zeros for seq in besselx.zero_sequences([(nu, m) for nu in orders], 60)])
+    seqs = besselx.zero_sequences([(nu, m) for nu in orders], 60)
+    zeros = np.array([seq.zeros for seq in seqs])
     zeros.flags.writeable = False
     return zeros
 
