@@ -17,15 +17,21 @@ cannot silently drop a zero.  ``zero_sequences`` solves all the (n, m)
 pairs a caller asks for, across twist degrees, in one lockstep pass: one
 kernel pass probes every pair's gaps, one Newton solve on the analytic
 derivative of L_n polishes every bracket, and one pass takes the residuals;
-``zeros`` and ``spectrum`` are views of it.  Cross products take arrays of
-points, with n and m per point: L_n reads its J orders, negative ones too,
-from one kernel table, and log G_n its four I orders from one
-``bessel_i_log`` call.
+``zeros`` and ``spectrum`` are views of it.  Every solved sequence is kept
+for the process, keyed by its canonical (n, m) and K, with read-only
+arrays, so a batch solves only the pairs no earlier call solved at its K.
+Cross products take arrays of points, with n and m per point: L_n reads
+its J orders, negative ones too, from one kernel table, and log G_n its
+four I orders from one ``bessel_i_log`` call.
 
 Bessel zeros themselves are generated internally, all orders of a table at
 once: sign changes of one kernel pass over a unit grid bracket them, one
 lockstep solve polishes them and the interlacing of neighbouring orders
 certifies them, so the module has no dependency on tabulated zeros.
+``size_zero_tables`` sizes the J and J' tables once for a list of
+(pairs, K) solves: ``zero_sequences`` calls it for its own batch, and a
+caller that knows its whole workload (``verify.run_suite``) calls it first,
+so that each table is built once.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ __all__ = [
     "SpectrumEntry",
     "Spectrum",
     "bessel_j_zeros",
+    "size_zero_tables",
     "cross_L",
     "cross_L_prime",
     "cross_G_log",
@@ -82,11 +89,13 @@ class CrossProductSpec:
         return CrossProductSpec(n, self.m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralSequence:
     """Ordered positive zeros of one cross product, with |L_n| at each zero
     and the local scale of |L_n| (its larger value at the two neighbouring
-    midpoints) that the residual is judged against."""
+    midpoints) that the residual is judged against.  Sequences are shared
+    from the per-process memo of ``zero_sequences``: the arrays are
+    read-only."""
     spec: CrossProductSpec
     zeros: np.ndarray
     residuals: np.ndarray
@@ -286,6 +295,11 @@ def cross_G_norm_log(n: int, m: int, x):
 # Zero sequences of L_n
 # ----------------------------------------------------------------------
 
+def _factorized(nu: int, m: int) -> bool:
+    """True when L_nu is a product of two J factors: m = 0 or 2 nu = m."""
+    return m == 0 or 2 * nu == m
+
+
 def _factor_families(nu: int, m: int):
     """(kind, order) of the two J zero families that make up L_nu's zeros when
     it factorizes (m = 0, or 2 nu = m), else whose merge interlaces them."""
@@ -316,6 +330,30 @@ def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
     return rows, lo, hi, a[rows, cols] < 0.0
 
 
+def size_zero_tables(requests) -> None:
+    """Size the J and J' zero tables once for the (pairs, K) ``requests``.
+
+    Each table grows to the largest order and count the requests read of
+    it: K zeros of both factor families of a factorized pair (m = 0, or
+    2 n = m), K + 2 of a generic pair's, whose scan reads the factor zeros
+    up to the gap above its K-th zero.  A table that already covers them is
+    not touched.
+    """
+    need = {}
+    for pairs, K in requests:
+        for n, m in pairs:
+            count = K if _factorized(n, m) else K + 2
+            for kind, order in _factor_families(n, m):
+                top, have = need.get(kind, (0, 0))
+                need[kind] = max(top, abs(order)), max(have, count)
+    for kind, (order, count) in need.items():
+        _zero_table(kind, order, count)
+
+
+# (n, m, K), n canonical -> SpectralSequence, arrays read-only
+_SEQUENCES: dict = {}
+
+
 def zero_sequences(pairs, K: int) -> list:
     """First K positive zeros of L_n (twist degree m) for every (n, m) in ``pairs``.
 
@@ -325,23 +363,28 @@ def zero_sequences(pairs, K: int) -> list:
     of the two J factors bracket the roots: 33 probes scan the gap below the
     smallest factor zero and 13 each following gap, and an empty gap raises
     BracketError naming its order, so the count is certified.  A batch may
-    mix twist degrees: each zero table is sized once, to the largest order
-    and count the batch reads of it, one kernel pass probes all pairs, one
-    lockstep Newton solve on the analytic L_n' polishes all brackets and one
-    pass takes the residuals.  A value depends only on its own (n, m), so a
-    batch equals one-pair calls bit for bit; the pairs of one symmetry class
-    share one result.
+    mix twist degrees: ``size_zero_tables`` sizes each zero table once for
+    it, one kernel pass probes all pairs, one lockstep Newton solve on the
+    analytic L_n' polishes all brackets and one pass takes the residuals.
+    A value depends only on its own (n, m) and K, so a batch equals one-pair
+    calls bit for bit, and every sequence is solved once per process: the
+    memo returns the same object for the same canonical (n, m) and K, and
+    the pairs of one symmetry class share it.
     """
     if K < 1:
         raise ValueError("K must be >= 1")
     specs = [CrossProductSpec(n, m).canonical() for n, m in pairs]
-    keys = list(dict.fromkeys((spec.n, spec.m) for spec in specs))
-    generic = [(nu, m) for nu, m in keys if m > 0 and 2 * nu != m]
-    # size each zero table once, to the largest order and count the batch reads
-    reads = [(kind, abs(order), K + 2 if key in generic else K)
-             for key in keys for kind, order in _factor_families(*key)]
-    for kind in dict.fromkeys(kind for kind, *_ in reads):
-        _zero_table(kind, *(max(r[i] for r in reads if r[0] == kind) for i in (1, 2)))
+    keys = [key for key in dict.fromkeys((spec.n, spec.m) for spec in specs)
+            if key + (K,) not in _SEQUENCES]
+    if keys:
+        _solve_sequences(keys, K)
+    return [_SEQUENCES[(spec.n, spec.m, K)] for spec in specs]
+
+
+def _solve_sequences(keys, K: int) -> None:
+    """Solve the canonical (n, m) ``keys`` at K in one batch, into the memo."""
+    size_zero_tables([(keys, K)])
+    generic = [key for key in keys if not _factorized(*key)]
     lam = {key: _merged_factor_zeros(*key, K)[:K] for key in keys if key not in generic}
     if generic:
         gn, gm = np.array(generic).T
@@ -381,9 +424,11 @@ def zero_sequences(pairs, K: int) -> list:
     kn, km = np.array(keys).T
     at = np.abs(cross_L(kn[:, None], km[:, None], np.hstack([z, mids])))
     scales = np.maximum(at[:, K:-1], at[:, K + 1:])
-    seqs = {key: SpectralSequence(CrossProductSpec(*key), z[i], at[i, :K], scales[i])
-            for i, key in enumerate(keys)}
-    return [seqs[(spec.n, spec.m)] for spec in specs]
+    for a in (z, at, scales):
+        a.flags.writeable = False
+    for i, key in enumerate(keys):
+        _SEQUENCES[(*key, K)] = SpectralSequence(CrossProductSpec(*key), z[i], at[i, :K],
+                                                 scales[i])
 
 
 def zeros(spec: CrossProductSpec, K: int) -> SpectralSequence:

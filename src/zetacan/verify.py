@@ -87,39 +87,41 @@ def suite_gram():
 def _alternates(lam, fam_a, fam_b) -> bool:
     """True when the sorted zeros alternate between the two factor families
     (a zero belongs to a family within 1e-9)."""
-    labels = []
-    for x in lam:
-        in_a = np.min(np.abs(fam_a - x)) < 1e-9
-        in_b = np.min(np.abs(fam_b - x)) < 1e-9
-        if in_a == in_b:
-            return False
-        labels.append(0 if in_a else 1)
-    return all(a != b for a, b in zip(labels, labels[1:]))
+    in_a, in_b = (np.min(np.abs(fam[:, None] - lam), axis=0) < 1e-9 for fam in (fam_a, fam_b))
+    return bool(np.all(in_a != in_b) and np.all(in_a[1:] != in_a[:-1]))
+
+
+def _interlacing_solves():
+    """The (pairs, K) zero solves of ``suite_interlacing``: orders n <= 10 of
+    m <= 3 at K = 50, the first zeros of orders 3..22 at m = 2, and the
+    symmetry and derivative-norm pairs at K = 10."""
+    return (([(nu, m) for m in range(4)
+              for nu in dict.fromkeys(max(n, m - n) for n in range(11))], 50),
+            ([(n, 2) for n in range(3, 23)], 1),
+            ([(3, 3)] + [(nu, m) for m in range(4) for nu in range(m + 1, m + 4)], 10))
 
 
 def suite_interlacing():
     out = []
     interlace_ok = True
-    K = 50
-    keys = [(nu, m) for m in range(4)
-            for nu in dict.fromkeys(max(n, m - n) for n in range(11))]
+    (keys, K), (firsts, k_first), (norm_keys, k_norm) = _interlacing_solves()
     seqs = besselx.zero_sequences(keys, K)
     worst_res = max(float(np.max(seq.residuals / seq.local_scales)) for seq in seqs)
     generic = []
     for (nu, m), seq in zip(keys, seqs):
         lam = seq.zeros
-        if (m == 0) or (m % 2 == 0 and nu == m // 2):
+        if besselx._factorized(nu, m):
             # L factors as +-2 J_a J_b: zeros are the union of the two
             # families, which must strictly alternate
-            fam_a, fam_b = (besselx._zero_table(kind, order, K + 2)
+            fam_a, fam_b = (besselx._zero_table(kind, order, K)
                             for kind, order in besselx._factor_families(nu, m))
             if not _alternates(lam, fam_a, fam_b):
                 interlace_ok = False
         else:
-            merged = besselx._merged_factor_zeros(nu, m, K + 4)
-            counts = [np.sum((merged > lam[i]) & (merged < lam[i + 1]))
-                      for i in range(len(lam) - 1)]
-            if any(c != 1 for c in counts):
+            merged = besselx._merged_factor_zeros(nu, m, K + 2)
+            counts = (np.searchsorted(merged, lam[1:], "left")
+                      - np.searchsorted(merged, lam[:-1], "right"))
+            if np.any(counts != 1):
                 interlace_ok = False
             generic.append((nu, m, lam[:12]))
     # derivative signs at the first 12 zeros of every generic order, one pass
@@ -133,19 +135,18 @@ def suite_interlacing():
                            simple_ok))
     out.append(_check_true("interlacing: residual below 1e-10 x local scale",
                            worst_res <= 1e-10, f"worst={worst_res:.3e}"))
-    firsts = besselx.zero_sequences([(n, 2) for n in range(3, 23)], 1)
-    worst_lower = min(seq.zeros[0] - n for n, seq in zip(range(1, 21), firsts))
+    worst_lower = min(seq.zeros[0] - (n - 2)
+                      for (n, _), seq in zip(firsts, besselx.zero_sequences(firsts, k_first)))
     out.append(_check_true("interlacing: lambda_{n+m,1} >= n (n <= 20, m = 2)",
                            worst_lower >= 0.0, f"min margin={worst_lower:.3f}"))
     # one K = 10 solve for the symmetry check and the derivative-norm sweep
-    keys = [(3, 3)] + [(nu, m) for m in range(4) for nu in range(m + 1, m + 4)]
-    seq, *seqs = besselx.zero_sequences(keys, 10)
+    seq, *seqs = besselx.zero_sequences(norm_keys, k_norm)
     # the solver canonicalizes n -> m - n, so the mirror order's own cross
     # product L_0 (m = 3) is evaluated at the zeros solved for L_3
     sym = float(np.max(np.abs(besselx.cross_L(0, 3, seq.zeros)) / seq.local_scales))
     out.append(_check_true("interlacing: symmetry Z_n = Z_{m-n}", sym <= 1e-10,
                            f"worst={sym:.3e}"))
-    nu, m = (np.array(a)[:, None] for a in zip(*keys[1:]))
+    nu, m = (np.array(a)[:, None] for a in zip(*norm_keys[1:]))
     lam = np.array([seq.zeros for seq in seqs])
     # m = 0 factorizes as -2 J J'; at the J zeros the factor in the
     # identity's hypothesis vanishes, so skip them
@@ -158,12 +159,17 @@ def suite_interlacing():
     return out
 
 
+def _sumrule_solves():
+    """The (pairs, K) zero solve of ``suite_sumrule``: the canonical orders
+    nu <= 8 of m <= 4 at K = 60."""
+    return (([(nu, m) for m in range(5)
+              for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8], 60),)
+
+
 def suite_sumrule():
     out = []
     worst2 = worst4 = 0.0
-    K = 60
-    keys = [(nu, m) for m in range(5)
-            for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8]
+    (keys, K), = _sumrule_solves()
     for (nu, m), seq in zip(keys, besselx.zero_sequences(keys, K)):
         s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
             seq.zeros, K, 1.0, slope=math.pi / 2.0)
@@ -185,6 +191,15 @@ def _sine_logp(z):
     y = -1j * z
     return (math.pi * y + np.log1p(-np.exp(-2.0 * math.pi * y))
             - np.log(2.0 * math.pi * y))
+
+
+_SPECTRAL_SUM_MS = (0, 1)  # twist degrees of the direct vs contour spectral sums
+
+
+def _routes_solves():
+    """The (pairs, K) zero solves of the direct spectral sums in ``suite_routes``."""
+    return tuple(([(nu, m) for nu in zetareg._sum_orders(m)], zetareg._DIRECT_K)
+                 for m in _SPECTRAL_SUM_MS)
 
 
 def suite_routes():
@@ -220,7 +235,7 @@ def suite_routes():
             rep.discrepancies["contour"] <= 1e-6,
             f"diff={rep.discrepancies['contour']:.3e}"))
     # direct vs contour spectral sums
-    for m in (0, 1):
+    for m in _SPECTRAL_SUM_MS:
         for s in (1.5, 2.0):
             d = zetareg.spectral_zeta_direct(m, s)
             c = zetareg.spectral_zeta_contour(m, s)
@@ -344,17 +359,30 @@ SUITES = {
 }
 
 
+# suite -> its (pairs, K) zero solves, for sizing the zero tables up front
+_ZERO_SOLVES = {
+    "interlacing": _interlacing_solves,
+    "sumrule": _sumrule_solves,
+    "routes": _routes_solves,
+}
+
+
 def run_suite(name: str = "all"):
-    """Run one named suite or all of them; returns list of CheckResult."""
-    if name == "all":
-        results = []
-        for key in SUITES:
-            results.extend(SUITES[key]())
-        return results
-    if name not in SUITES:
+    """Run one named suite or all of them; returns list of CheckResult.
+
+    The J and J' zero tables are sized once, to the union of the selected
+    suites' zero solves, before any suite runs, so each is built once.
+    """
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
-    return SUITES[name]()
+    names = list(SUITES) if name == "all" else [name]
+    besselx.size_zero_tables([req for key in names if key in _ZERO_SOLVES
+                              for req in _ZERO_SOLVES[key]()])
+    results = []
+    for key in names:
+        results.extend(SUITES[key]())
+    return results
 
 
 def format_results(results) -> str:

@@ -29,7 +29,6 @@ Values at 0 are kept in exact rational arithmetic where they are rational.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -568,13 +567,17 @@ def _order_tail_over_n(values_by_n: dict, s: float, n_from: int) -> float:
             + coef[2] * hurwitz_zeta(2.0 * s + 1.0, a))
 
 
+def _sum_orders(m: int) -> list:
+    """The orders of a spectral sum: the low orders, then nu = m+1 .. m+14."""
+    return [nu for nu, _ in besselx.canonical_orders(m, m // 2 + 1)] + list(range(m + 1, m + 15))
+
+
 def _spectral_sum(m: int, s: float, order_zetas) -> float:
     """4^s z_m(s) from the per-order values ``order_zetas(orders)`` of the
-    low orders and the family orders nu = m+1 .. m+14: the low orders with
-    their weights, then 2 * sum over the family orders, then the n-tail
-    fitted to the last eight."""
+    ``_sum_orders(m)``: the low orders with their weights, then 2 * sum over
+    the family orders, then the n-tail fitted to the last eight."""
     low = besselx.canonical_orders(m, m // 2 + 1)
-    vals = order_zetas([nu for nu, _ in low] + list(range(m + 1, m + 15)))
+    vals = order_zetas(_sum_orders(m))
     total = 0.0
     for (nu, weight), val in zip(low, vals):
         total += weight * val
@@ -585,23 +588,19 @@ def _spectral_sum(m: int, s: float, order_zetas) -> float:
     return 4.0 ** s * total
 
 
-@functools.cache
-def _direct_zeros(m: int, orders: tuple) -> np.ndarray:
-    """The first 60 zeros of each of ``orders``, one row per order, read-only."""
-    seqs = besselx.zero_sequences([(nu, m) for nu in orders], 60)
-    zeros = np.array([seq.zeros for seq in seqs])
-    zeros.flags.writeable = False
-    return zeros
+_DIRECT_K = 60  # certified zeros per order of the direct spectral sum
 
 
 def spectral_zeta_direct(m: int, s: float) -> float:
-    """zeta(s) = 4^s z_m(s) from 60 certified zeros per order plus k- and
-    n-tails, s > 1; one lockstep solve per m and process serves every s."""
+    """zeta(s) = 4^s z_m(s) from 60 (``_DIRECT_K``) certified zeros per order
+    plus k- and n-tails, s > 1; the zeros come from one lockstep solve per
+    m, which the memo of ``besselx.zero_sequences`` keeps for every later s."""
     if s <= 1.0:
         raise ValueError("direct spectral sum needs s > 1")
     return _spectral_sum(m, s, lambda orders: [
-        float(np.sum(lam ** (-2.0 * s))) + zero_tail_sum(lam, 60, s, slope=math.pi / 2.0)
-        for lam in _direct_zeros(m, tuple(orders))])
+        float(np.sum(seq.zeros ** (-2.0 * s)))
+        + zero_tail_sum(seq.zeros, _DIRECT_K, s, slope=math.pi / 2.0)
+        for seq in besselx.zero_sequences([(nu, m) for nu in orders], _DIRECT_K)])
 
 
 def spectral_zeta_contour(m: int, s: float) -> float:

@@ -203,11 +203,14 @@ class TestBatchedSequences:
     @pytest.mark.parametrize("K", [1, 8, 50])
     def test_batch_equals_solo(self, m, K, monkeypatch):
         monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
         orders = self._orders(m)
         batch = bx.zero_sequences([(n, m) for n in orders], K)
         assert len(batch) == len(orders)
         for n, got in zip(orders, batch):
+            monkeypatch.setattr(bx, "_SEQUENCES", {})  # a solo solve, not a memo hit
             solo = bx.zeros(bx.CrossProductSpec(n, m), K)
+            assert solo is not got
             assert got.spec == solo.spec == bx.CrossProductSpec(n, m).canonical()
             self._assert_same(got, solo, n)
             assert len(got.zeros) == K
@@ -220,11 +223,14 @@ class TestBatchedSequences:
         degrees = (5, 0, 30, 2, 17, 1)
         pairs = [(n, m) for m in degrees for n in self._orders(m)][::-1]
         monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
         batch = dict(zip(pairs, bx.zero_sequences(pairs, K)))
         for m in degrees:
             monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+            monkeypatch.setattr(bx, "_SEQUENCES", {})
             orders = self._orders(m)
             for n, want in zip(orders, bx.zero_sequences([(n, m) for n in orders], K)):
+                assert want is not batch[(n, m)]
                 self._assert_same(batch[(n, m)], want, (n, m))
         # the pairs of one symmetry class share one result
         assert batch[(0, 30)] is batch[(30, 30)]
@@ -239,12 +245,63 @@ class TestBatchedSequences:
             return vals
 
         monkeypatch.setattr(bx, "cross_L", flat_7)
+        monkeypatch.setattr(bx, "_SEQUENCES", {})  # solve, do not recall
         with pytest.raises(BracketError, match=r"L_7 \(m=2\)"):
             bx.zero_sequences([(5, 1), (3, 2), (5, 2), (7, 2), (9, 2), (6, 4)], 6)
 
     def test_rejects_empty_count(self):
         with pytest.raises(ValueError):
             bx.zero_sequences([(3, 2)], 0)
+
+
+class TestSequenceMemo:
+    """zero_sequences solves each canonical (n, m) once per K and process."""
+
+    PAIRS = [(2, 5), (0, 4), (2, 4), (3, 0), (6, 1)]
+
+    def test_repeat_returns_the_same_object(self, monkeypatch):
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
+        first = bx.zero_sequences(self.PAIRS, 12)
+        monkeypatch.setattr(bx, "_solve_sequences", None)  # a repeat solves nothing
+        again = bx.zero_sequences([(3, 5), *self.PAIRS], 12)
+        assert again[0] is first[0]  # (3, 5) is the mirror of (2, 5)
+        assert all(a is b for a, b in zip(again[1:], first))
+        assert bx.zeros(bx.CrossProductSpec(4, 4), 12) is first[1]
+
+    def test_batch_solves_only_the_missing_pairs(self, monkeypatch):
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
+        solves = []
+        solve = bx._solve_sequences
+        monkeypatch.setattr(bx, "_solve_sequences",
+                            lambda keys, K: solves.append((keys, K)) or solve(keys, K))
+        bx.zero_sequences(self.PAIRS[:3], 12)
+        bx.zero_sequences(self.PAIRS, 12)
+        bx.zero_sequences(self.PAIRS, 12)
+        bx.zero_sequences(self.PAIRS[:1], 13)
+        assert solves == [([(3, 5), (4, 4), (2, 4)], 12), ([(3, 0), (6, 1)], 12),
+                          ([(3, 5)], 13)]
+
+    @pytest.mark.parametrize("K", [1, 7, 40])
+    def test_other_K_equals_a_cold_solve(self, K, monkeypatch):
+        # a pair memoized at K = 20 and asked for at another K is solved
+        # anew; it equals a solve with cold tables and an empty memo
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
+        bx.zero_sequences(self.PAIRS, 20)
+        warm = bx.zero_sequences(self.PAIRS, K)
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
+        cold = bx.zero_sequences(self.PAIRS, K)
+        for pair, a, b in zip(self.PAIRS, warm, cold):
+            assert a is not b and len(a.zeros) == K
+            TestBatchedSequences._assert_same(a, b, pair)
+
+    def test_memoized_sequences_are_read_only(self):
+        seq = bx.zeros(bx.CrossProductSpec(4, 3), 10)
+        for a in (seq.zeros, seq.residuals, seq.local_scales):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            seq.zeros = seq.zeros.copy()
 
 
 class TestSumRules:

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from zetacan import cli
+from zetacan import besselx, cli, verify
 
 
 def run_cli(*args):
@@ -107,6 +107,35 @@ class TestVerifyCommand:
     def test_format_option_rejected(self, capsys):
         assert cli.main(["verify", "--suite", "quadrature", "--format", "csv"]) == 2
         assert "--format" in capsys.readouterr().err
+
+
+class TestVerifyZeroTables:
+    """run_suite sizes the J and J' zero tables once, to the union of the
+    selected suites' zero solves, and no suite reads past them."""
+
+    @staticmethod
+    def _run(monkeypatch, suite):
+        builds, solves = [], []
+        build, newton = besselx._build_zero_table, besselx.newton_brackets
+        monkeypatch.setattr(besselx, "_ZERO_TABLES", {})
+        monkeypatch.setattr(besselx, "_SEQUENCES", {})
+        monkeypatch.setattr(besselx, "_build_zero_table",
+                            lambda *a: builds.append(a) or build(*a))
+        monkeypatch.setattr(besselx, "newton_brackets",
+                            lambda *a, **k: solves.append(a) or newton(*a, **k))
+        results = verify.run_suite(suite)
+        assert all(r.passed for r in results), [r.name for r in results if not r.passed]
+        return builds, solves
+
+    def test_all_builds_each_table_once(self, monkeypatch):
+        builds, solves = self._run(monkeypatch, "all")
+        assert builds == [("j", 22, 62), ("jp", 14, 60)]
+        # the two table builds, then one batch per distinct (K, pairs) solve
+        assert len(solves) <= 10
+
+    def test_interlacing_builds_each_table_once(self, monkeypatch):
+        builds, _ = self._run(monkeypatch, "interlacing")
+        assert builds == [("j", 22, 52), ("jp", 10, 50)]
 
 
 class TestExitCodes:

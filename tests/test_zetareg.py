@@ -268,15 +268,22 @@ class TestSpectralSums:
 
 class TestDirectZeroCache:
     def test_one_solve_serves_every_s(self, monkeypatch):
-        zr._direct_zeros.cache_clear()
+        # the zeros of all 15 orders of m = 1 come from one lockstep solve
+        # that the memo of zero_sequences keeps for every later s
+        monkeypatch.setattr(zr.besselx, "_SEQUENCES", {})
+        solves = []
+        solve = zr.besselx._solve_sequences
+        monkeypatch.setattr(zr.besselx, "_solve_sequences",
+                            lambda keys, K: solves.append((keys, K)) or solve(keys, K))
         cold = [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)]
-        monkeypatch.setattr(zr.besselx, "zero_sequences", None)  # a warm call solves nothing
-        orders = (0, *range(2, 16))  # the low order of m = 1, then the family orders
-        zeros = zr._direct_zeros(1, orders)
+        assert zr._sum_orders(1) == [0, *range(2, 16)]  # the low order, then the family
+        assert solves == [([(1, 1), *((nu, 1) for nu in range(2, 16))], 60)]
+        monkeypatch.setattr(zr.besselx, "_solve_sequences", None)  # a warm call solves nothing
         assert [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)] == cold
-        assert zr._direct_zeros(1, orders) is zeros and zeros.shape == (15, 60)
+        seqs = zr.besselx.zero_sequences([(nu, 1) for nu in zr._sum_orders(1)], 60)
+        assert all(seq is zr.besselx._SEQUENCES[(seq.spec.n, 1, 60)] for seq in seqs)
         with pytest.raises(ValueError):
-            zeros[0, 0] = 0.0
+            seqs[0].zeros[0] = 0.0
 
 
 class TestContourSampleCache:
