@@ -42,6 +42,29 @@ def _check_true(name, cond, detail=""):
 # Suites
 # ----------------------------------------------------------------------
 
+_SPECTRAL_SUM_MS = (0, 1)  # twist degrees of the direct vs contour spectral sums
+
+
+def _zero_solves() -> dict:
+    """Suite -> the (pairs, K) zero solves it makes.  The suites read their
+    pairs from here, and ``run_suite`` sizes the zero tables for them."""
+    return {
+        # orders n <= 10 of m <= 3 at K = 50; the first zeros of orders 3..22
+        # at m = 2; the symmetry and derivative-norm pairs at K = 10
+        "interlacing": (([(nu, m) for m in range(4)
+                          for nu in dict.fromkeys(max(n, m - n) for n in range(11))], 50),
+                        ([(n, 2) for n in range(3, 23)], 1),
+                        ([(3, 3)] + [(nu, m) for m in range(4)
+                                     for nu in range(m + 1, m + 4)], 10)),
+        # the canonical orders nu <= 8 of m <= 4
+        "sumrule": (([(nu, m) for m in range(5)
+                      for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8], 60),),
+        # the direct spectral sums
+        "routes": tuple(([(nu, m) for nu in zetareg._sum_orders(m)], zetareg._DIRECT_K)
+                        for m in _SPECTRAL_SUM_MS),
+    }
+
+
 def suite_quadrature():
     out = []
     out.append(_check("quad: circle integral -> 2 log 4",
@@ -91,20 +114,10 @@ def _alternates(lam, fam_a, fam_b) -> bool:
     return bool(np.all(in_a != in_b) and np.all(in_a[1:] != in_a[:-1]))
 
 
-def _interlacing_solves():
-    """The (pairs, K) zero solves of ``suite_interlacing``: orders n <= 10 of
-    m <= 3 at K = 50, the first zeros of orders 3..22 at m = 2, and the
-    symmetry and derivative-norm pairs at K = 10."""
-    return (([(nu, m) for m in range(4)
-              for nu in dict.fromkeys(max(n, m - n) for n in range(11))], 50),
-            ([(n, 2) for n in range(3, 23)], 1),
-            ([(3, 3)] + [(nu, m) for m in range(4) for nu in range(m + 1, m + 4)], 10))
-
-
 def suite_interlacing():
     out = []
     interlace_ok = True
-    (keys, K), (firsts, k_first), (norm_keys, k_norm) = _interlacing_solves()
+    (keys, K), (firsts, k_first), (norm_keys, k_norm) = _zero_solves()["interlacing"]
     seqs = besselx.zero_sequences(keys, K)
     worst_res = max(float(np.max(seq.residuals / seq.local_scales)) for seq in seqs)
     generic = []
@@ -159,17 +172,10 @@ def suite_interlacing():
     return out
 
 
-def _sumrule_solves():
-    """The (pairs, K) zero solve of ``suite_sumrule``: the canonical orders
-    nu <= 8 of m <= 4 at K = 60."""
-    return (([(nu, m) for m in range(5)
-              for nu, _ in besselx.canonical_orders(m, 8) if nu <= 8], 60),)
-
-
 def suite_sumrule():
     out = []
     worst2 = worst4 = 0.0
-    (keys, K), = _sumrule_solves()
+    (keys, K), = _zero_solves()["sumrule"]
     for (nu, m), seq in zip(keys, besselx.zero_sequences(keys, K)):
         s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
             seq.zeros, K, 1.0, slope=math.pi / 2.0)
@@ -191,15 +197,6 @@ def _sine_logp(z):
     y = -1j * z
     return (math.pi * y + np.log1p(-np.exp(-2.0 * math.pi * y))
             - np.log(2.0 * math.pi * y))
-
-
-_SPECTRAL_SUM_MS = (0, 1)  # twist degrees of the direct vs contour spectral sums
-
-
-def _routes_solves():
-    """The (pairs, K) zero solves of the direct spectral sums in ``suite_routes``."""
-    return tuple(([(nu, m) for nu in zetareg._sum_orders(m)], zetareg._DIRECT_K)
-                 for m in _SPECTRAL_SUM_MS)
 
 
 def suite_routes():
@@ -359,14 +356,6 @@ SUITES = {
 }
 
 
-# suite -> its (pairs, K) zero solves, for sizing the zero tables up front
-_ZERO_SOLVES = {
-    "interlacing": _interlacing_solves,
-    "sumrule": _sumrule_solves,
-    "routes": _routes_solves,
-}
-
-
 def run_suite(name: str = "all"):
     """Run one named suite or all of them; returns list of CheckResult.
 
@@ -377,8 +366,8 @@ def run_suite(name: str = "all"):
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
     names = list(SUITES) if name == "all" else [name]
-    besselx.size_zero_tables([req for key in names if key in _ZERO_SOLVES
-                              for req in _ZERO_SOLVES[key]()])
+    solves = _zero_solves()
+    besselx.size_zero_tables([req for key in names for req in solves.get(key, ())])
     results = []
     for key in names:
         results.extend(SUITES[key]())

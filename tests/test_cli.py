@@ -130,7 +130,7 @@ class TestVerifyZeroTables:
     def test_all_builds_each_table_once(self, monkeypatch):
         builds, solves = self._run(monkeypatch, "all")
         assert builds == [("j", 22, 62), ("jp", 14, 60)]
-        # the two table builds, then one batch per distinct (K, pairs) solve
+        # two table builds, and one lockstep per batch that solves a generic pair
         assert len(solves) <= 10
 
     def test_interlacing_builds_each_table_once(self, monkeypatch):
