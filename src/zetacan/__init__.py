@@ -12,13 +12,13 @@ determinants; the two pipelines agree:
     zeta'(0) = 4 zeta'_Q(-1) - 1/6 - log((m+2)^{m+1} / ((m+1)!)^2) = T_g(m).
 """
 
-from .besselx import CrossProductSpec, spectrum, zeros
+from .besselx import spectrum, zeros
 from .torsion import torsion_g
 from .zetareg import dirichlet_neumann_block, zeta_canonical
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossProductSpec", "zeros", "spectrum", "zeta_canonical",
+    "zeros", "spectrum", "zeta_canonical",
     "dirichlet_neumann_block", "torsion_g", "__version__",
 ]

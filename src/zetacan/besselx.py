@@ -44,10 +44,9 @@ from fractions import Fraction
 import numpy as np
 
 from .numerics import BracketError, newton_brackets
-from .special import _j_signed, _log, bessel_i_log, bessel_j, bessel_j_orders
+from .special import _j_signed, _log, bessel_i_log, bessel_j_orders
 
 __all__ = [
-    "CrossProductSpec",
     "SpectralSequence",
     "SpectrumEntry",
     "Spectrum",
@@ -65,38 +64,23 @@ __all__ = [
     "canonical_orders",
     "spectrum",
     "eigen_norm_check",
-    "eigenfunction_radial",
 ]
 
 
 # ----------------------------------------------------------------------
-# Specs and containers
+# Containers
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CrossProductSpec:
-    """Order n and twist degree m of a cross product L_n."""
+class SpectralSequence:
+    """Ordered positive zeros of one cross product L_n (twist degree m, n the
+    representative max(n, m - n) of its symmetry class), with |L_n| at each
+    zero and the local scale of |L_n| (its larger value at the two
+    neighbouring midpoints) that the residual is judged against.  Sequences
+    are shared from the per-process memo of ``zero_sequences``: the arrays
+    are read-only."""
     n: int
     m: int
-
-    def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("twist degree m must be >= 0")
-
-    def canonical(self) -> "CrossProductSpec":
-        """Representative of the symmetry class {n, m - n} with n >= ceil(m/2)."""
-        n = max(self.n, self.m - self.n)
-        return CrossProductSpec(n, self.m)
-
-
-@dataclass(frozen=True)
-class SpectralSequence:
-    """Ordered positive zeros of one cross product, with |L_n| at each zero
-    and the local scale of |L_n| (its larger value at the two neighbouring
-    midpoints) that the residual is judged against.  Sequences are shared
-    from the per-process memo of ``zero_sequences``: the arrays are
-    read-only."""
-    spec: CrossProductSpec
     zeros: np.ndarray
     residuals: np.ndarray
     local_scales: np.ndarray
@@ -368,17 +352,18 @@ def zero_sequences(pairs, K: int) -> list:
     analytic L_n' polishes all brackets and one pass takes the residuals.
     A value depends only on its own (n, m) and K, so a batch equals one-pair
     calls bit for bit, and every sequence is solved once per process: the
-    memo returns the same object for the same canonical (n, m) and K, and
-    the pairs of one symmetry class share it.
+    memo returns the same object for the same (n, m) and K, and the pairs
+    of one symmetry class {n, m - n} share the one solved for max(n, m - n).
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    specs = [CrossProductSpec(n, m).canonical() for n, m in pairs]
-    keys = [key for key in dict.fromkeys((spec.n, spec.m) for spec in specs)
-            if key + (K,) not in _SEQUENCES]
-    if keys:
-        _solve_sequences(keys, K)
-    return [_SEQUENCES[(spec.n, spec.m, K)] for spec in specs]
+    keys = [(max(n, m - n), m) for n, m in pairs]
+    if any(m < 0 for _, m in keys):
+        raise ValueError("twist degree m must be >= 0")
+    missing = [key for key in dict.fromkeys(keys) if key + (K,) not in _SEQUENCES]
+    if missing:
+        _solve_sequences(missing, K)
+    return [_SEQUENCES[(*key, K)] for key in keys]
 
 
 def _solve_sequences(keys, K: int) -> None:
@@ -427,66 +412,54 @@ def _solve_sequences(keys, K: int) -> None:
     for a in (z, at, scales):
         a.flags.writeable = False
     for i, key in enumerate(keys):
-        _SEQUENCES[(*key, K)] = SpectralSequence(CrossProductSpec(*key), z[i], at[i, :K],
-                                                 scales[i])
+        _SEQUENCES[(*key, K)] = SpectralSequence(*key, z[i], at[i, :K], scales[i])
 
 
-def zeros(spec: CrossProductSpec, K: int) -> SpectralSequence:
+def zeros(n: int, m: int, K: int) -> SpectralSequence:
     """First K positive zeros of L_n: ``zero_sequences`` for one pair."""
-    return zero_sequences([(spec.n, spec.m)], K)[0]
+    return zero_sequences([(n, m)], K)[0]
 
 
 # ----------------------------------------------------------------------
 # Taylor-coefficient sum rules
 # ----------------------------------------------------------------------
 
-def _i_series(order: int, r_max: int) -> dict:
-    order = abs(order)
-    out = {}
-    for r in range(r_max + 1):
-        out[order + 2 * r] = Fraction(
-            1, 2 ** (order + 2 * r) * math.factorial(r) * math.factorial(order + r))
-    return out
-
-
-def _g_series(nu: int, m: int, r_max: int = 4) -> dict:
-    def mul(sa, sb):
-        out = {}
-        for ea, ca in sa.items():
-            for eb, cb in sb.items():
-                out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
-        return out
-
-    t1 = mul(_i_series(nu + 1, r_max), _i_series(nu - m, r_max))
-    t2 = mul(_i_series(nu, r_max), _i_series(nu - m - 1, r_max))
-    out = dict(t1)
-    for e, c in t2.items():
-        out[e] = out.get(e, Fraction(0)) + c
-    return out
+def _i_product(a: int, b: int, p: int) -> Fraction:
+    """Coefficient of z^p in I_a(z) I_b(z), orders a, b >= 0, exact:
+    (a+b+k+1)_k / (2^p k! (a+k)! (b+k)!) with p = a + b + 2k (DLMF 10.8.3
+    at iz), 0 below the leading power."""
+    k = (p - a - b) // 2
+    if k < 0:
+        return Fraction(0)
+    return Fraction(math.prod(range(a + b + k + 1, a + b + 2 * k + 1)),
+                    2 ** p * math.factorial(k) * math.factorial(a + k) * math.factorial(b + k))
 
 
 @functools.lru_cache(maxsize=None)
 def _power_sums(nu: int, m: int):
-    """(sum lambda^-2, sum lambda^-4) of L_nu, from one Taylor series."""
-    series = _g_series(nu, m)
-    e = min(series)
-    l = series[e]
-    e1 = series.get(e + 2, Fraction(0)) / l
-    e2 = series.get(e + 4, Fraction(0)) / l
-    return e1, e1 * e1 - 2 * e2
+    """(sum lambda^-2, sum lambda^-4) of L_nu, from the first three Taylor
+    coefficients of G_nu = I_{nu+1} I_{nu-m} + I_nu I_{nu-m-1}, with
+    I_{-k} = I_k.  Both products have powers of the parity of m + 1."""
+    terms = ((abs(nu + 1), abs(nu - m)), (abs(nu), abs(nu - m - 1)))
+    e = min(a + b for a, b in terms)
+    l, g1, g2 = (sum(_i_product(a, b, e + 2 * j) for a, b in terms) for j in range(3))
+    e1 = g1 / l
+    return e1, e1 * e1 - 2 * g2 / l
 
 
-def taylor_sum_rule_exact(spec: CrossProductSpec, power: int = 2) -> Fraction:
-    """sum_k lambda_k^{-power} (power 2 or 4) from Taylor coefficients, exact.
+def taylor_sum_rule_exact(n: int, m: int, power: int = 2) -> Fraction:
+    """sum_k lambda_k^{-power} (power 2 or 4) over the zeros of L_n, from
+    Taylor coefficients, exact.
 
     With G_n(z) = l z^e (1 + (g1/l) z^2 + (g2/l) z^4 + ...) and the
     factorization over +- i lambda_k, Newton's identities give
     sum 1/lambda^2 = g1/l and sum 1/lambda^4 = (g1/l)^2 - 2 g2/l.
+    G_n = G_{m-n} term by term, so both orders of a symmetry class give the
+    same value.
     """
     if power not in (2, 4):
         raise ValueError("power must be 2 or 4")
-    cspec = spec.canonical()
-    return _power_sums(cspec.n, cspec.m)[power // 2 - 1]
+    return _power_sums(n, m)[power // 2 - 1]
 
 
 # ----------------------------------------------------------------------
@@ -536,24 +509,12 @@ def spectrum(m: int, n_orders: int, K: int) -> Spectrum:
 # Eigenfunction norm identity
 # ----------------------------------------------------------------------
 
-def eigenfunction_radial(nu: int, m: int, lam: float, r: float) -> float:
-    """Radial profile: J_nu(lam r) inside r <= 1, matched
-    (J_nu(lam)/J_{nu-m}(lam)) r^m J_{nu-m}(lam/r) branch outside.
-
-    Its squared norm against the physical weight r dr / max(1,r)^{2m+4}
-    (metric weight times canonical volume; the r^m growth cancels) is the
-    closed two-term expression used in eigen_norm_check.
-    """
-    if r <= 1.0:
-        return bessel_j(nu, lam * r)
-    return bessel_j(nu, lam) / bessel_j(nu - m, lam) * r ** m * bessel_j(nu - m, lam / r)
-
-
 def eigen_norm_check(nu, m, lam):
     """Both sides of  L_nu'(lambda) = 2 (J_{nu-m}/J_nu)(lambda) * I(lambda).
 
-    I is the closed-form squared norm of the radial eigenfunction
-    (eigenfunction_radial),
+    I is the closed-form squared norm of the radial eigenfunction, J_nu(lam r)
+    on r <= 1 and (J_nu(lam)/J_{nu-m}(lam)) r^m J_{nu-m}(lam/r) beyond,
+    against the weight r dr / max(1, r)^{2m+4} (the r^m growth cancels):
 
         I = (1/2) (J_nu'^2 + (1 - nu^2/lam^2) J_nu^2)
           + (J_nu^2 / (2 J_{nu-m}^2)) (J_{nu-m}'^2 + (1 - (nu-m)^2/lam^2) J_{nu-m}^2),

@@ -155,7 +155,7 @@ def adaptive_quad(f, a: float, b: float) -> float:
 
 @dataclass
 class AsymptoticProfile:
-    """Coefficients of g(z) ~ d z + a log(z^2) + b + c1/z + c2/z^2 (+ ...).
+    """Coefficients of g(z) ~ d z + a log(z^2) + b + c1/z (+ ...).
 
     When g is minus the log of a normalized zero product
     prod (1 + z^2/lambda_k^2) on the positive ray, the attached spectral
@@ -165,7 +165,6 @@ class AsymptoticProfile:
     a: float
     b: float
     c1: float = 0.0
-    c2: float = 0.0
     fit_residual: float = 0.0
 
     def certified(self) -> bool:
@@ -185,7 +184,7 @@ def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
     """Least-squares fit of g(z) against {z, log z^2, 1, 1/z, ..., z^-deg}.
 
     g is called once, on the whole log-spaced grid of the window.  The basis carries
-    inverse powers beyond the reported c1/c2 so that the O(1/z^3) model
+    inverse powers beyond the reported c1 so that the O(1/z^3) model
     error of typical Bessel log-products does not bias the constant term.
     The max-abs residual over the grid is stored on the profile, whose
     ``certified()`` judges it.
@@ -202,7 +201,6 @@ def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
     return AsymptoticProfile(
         d=float(coef[0]), a=float(coef[1]), b=float(coef[2]),
         c1=float(coef[3]) if inverse_degree >= 1 else 0.0,
-        c2=float(coef[4]) if inverse_degree >= 2 else 0.0,
         fit_residual=resid)
 
 
@@ -369,7 +367,7 @@ def mellin_zeta_critical_values(logp, contour: ContourSpec,
     -log G, G the rotated product with purely imaginary zeros; they fix the
     ray-side asymptotics
 
-        log p(z) = i d z - a Log(z^2) + (i pi a - b) - i c1 / z + c2 / z^2 + O(1/z^3)
+        log p(z) = i d z - a Log(z^2) + (i pi a - b) - i c1 / z + O(1/z^2)
 
     on the upper ray.  Subtracting them leaves an integrable remainder q;
     the subtracted part continues in closed form and contributes
@@ -381,11 +379,11 @@ def mellin_zeta_critical_values(logp, contour: ContourSpec,
     vals = _eval_logp(logp, z)
     phi = (1j * profile.d * z - profile.a * np.log(z * z)
            + (1j * math.pi * profile.a - profile.b)
-           - 1j * profile.c1 / z + profile.c2 / z ** 2)
+           - 1j * profile.c1 / z)
     q = vals - phi
     i_q = np.sum(w * q / z)
-    # residual tail: q ~ q2 / z^2 + q3 / z^3 (q2 = 0 when the profile's c2
-    # is exact), fitted from the outer samples and integrated in closed form
+    # residual tail: q ~ q2 / z^2 + q3 / z^3, fitted from the outer samples
+    # and integrated in closed form
     sel = r >= 0.6 * contour.truncation_radius
     zz = z[sel]
     basis = np.stack([zz ** -2.0, zz ** -3.0], axis=1)

@@ -254,34 +254,21 @@ def riemann_zeta_prime(s: float) -> float:
 # ----------------------------------------------------------------------
 
 def _rescale(k, out, f, fp, *sums):
-    """Multiply f, fp, each of ``sums`` and rows k.. of ``out`` by 1e-280 at
-    the points where |f| > 1e280; returns (f, fp, *sums, bound on |f|,
-    bound on |fp|).
+    """Multiply f, fp, each of ``sums`` and rows k.. of ``out`` by 1e-280, in
+    place, at the points where |f| > 1e280; returns (max |f|, max |fp|), the
+    recurrence's new bounds.
 
-    Arrays are updated in place.  A screen on the float view,
-    |f| <= 1.5 max(|Re f|, |Im f|), picks the candidates, and only those are
-    tested exactly and multiplied, so each point gets the same decision and
-    factor as a rescale of the whole array would give it.  The bound on |f|
-    comes from the screen's magnitudes, scaled at the rescaled points only.
-    The bound on |fp| is taken afresh: the caller's running bound may be
-    far above it, and carried on it would set off a rescale every few steps.
+    The arrays are the kernel's flat buffers (``out`` has one column per
+    point), and each point gets the decision and factor that a rescale of
+    the whole array would give it.  The bound on |fp| is taken afresh: the
+    caller's running bound may be far above it, and carried on it would set
+    off a rescale every few steps.
     """
-    # a numpy scalar becomes a 0-d array, which has views to write through
-    f, fp, *sums = (np.asarray(a) for a in (f, fp, *sums))
-    wide = 1.5 if f.dtype.kind == "c" else 1.0
-    mag = np.abs(f.reshape(-1).view(np.float64))
-    hot = np.flatnonzero(mag > 1e280 / wide)
-    if hot.size:
-        if wide > 1.0:
-            # float index -> point index; a repeated index is multiplied once
-            hot >>= 1
-            hot = hot[np.abs(f.reshape(-1)[hot]) > 1e280]
-        for a in (f, fp, *sums):
-            a.reshape(-1)[hot] *= 1e-280
-        out.reshape(out.shape[0], -1)[k:, hot] *= 1e-280
-        mag.reshape(f.size, -1)[hot] *= 1e-280  # |a 1e-280| = |a| 1e-280 exactly
-    return (f, fp, *sums, wide * float(mag.max()),
-            wide * float(np.abs(fp.reshape(-1).view(np.float64)).max()))
+    hot = np.flatnonzero(np.abs(f) > 1e280)
+    for a in (f, fp, *sums):
+        a[hot] *= 1e-280
+    out[k:, hot] *= 1e-280
+    return float(np.abs(f).max()), float(np.abs(fp).max())
 
 
 def bessel_j_orders(n_max, x) -> np.ndarray:
@@ -349,7 +336,7 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
             if cplx:  # cos_norm + (-w) is cos_norm - w, bit for bit
                 (np.add if k % 4 == 0 else np.subtract)(cos_norm, w, out=cos_norm)
         if bound > 1e280:
-            *_, bound, bound_p = _rescale(k, out, f, fp, neumann, cos_norm)
+            bound, bound_p = _rescale(k, out, f, fp, neumann, cos_norm)
     if cplx:
         use_cos = np.abs(x.imag) > 1.0
         out *= np.where(use_cos, np.cos(x), 1.0 + 0.0j)

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import besselx, torsion, zetareg
-from .besselx import CrossProductSpec
 from .numerics import (ContourSpec, adaptive_quad, mellin_contour_zeta,
                        mellin_zeta_critical_values, AsymptoticProfile,
                        fit_asymptotic_profile, zero_tail_sum)
@@ -179,12 +178,10 @@ def suite_sumrule():
     for (nu, m), seq in zip(keys, besselx.zero_sequences(keys, K)):
         s2 = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
             seq.zeros, K, 1.0, slope=math.pi / 2.0)
-        worst2 = max(worst2, abs(s2 - float(besselx.taylor_sum_rule_exact(
-            CrossProductSpec(nu, m), 2))))
+        worst2 = max(worst2, abs(s2 - float(besselx.taylor_sum_rule_exact(nu, m, 2))))
         s4 = float(np.sum(seq.zeros ** -4.0)) + zero_tail_sum(
             seq.zeros, K, 2.0, slope=math.pi / 2.0)
-        worst4 = max(worst4, abs(s4 - float(besselx.taylor_sum_rule_exact(
-            CrossProductSpec(nu, m), 4))))
+        worst4 = max(worst4, abs(s4 - float(besselx.taylor_sum_rule_exact(nu, m, 4))))
     out.append(_check_true(
         "sumrule: zeros+tail vs Taylor oracle, power 2 (m<=4)",
         worst2 <= 1e-6, f"worst={worst2:.3e}"))

@@ -161,7 +161,7 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
              - log_gamma(nu + 2.0) - log_gamma(m - nu + 2.0))
         c1 = (2.0 * nu * nu + 2.0 * nu
               + 2.0 * (m - nu) ** 2 + 2.0 * (m - nu) + 1.0) / 4.0
-    return AsymptoticProfile(d=d, a=a, b=b, c1=c1, c2=0.0, fit_residual=0.0)
+    return AsymptoticProfile(d=d, a=a, b=b, c1=c1, fit_residual=0.0)
 
 
 def fitted_profile(nu: int, m: int) -> AsymptoticProfile:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from zetacan import besselx, torsion, verify, zetareg
-from zetacan.besselx import CrossProductSpec
 from zetacan.numerics import (AsymptoticProfile, ContourSpec,
                               fit_asymptotic_profile,
                               mellin_zeta_critical_values, zero_tail_sum)
@@ -84,22 +83,22 @@ def test_criterion_5_spectral_correctness():
     worst_sum = 0.0
     for m in range(4):
         for nu, _ in besselx.canonical_orders(m, 6):
-            seq = besselx.zeros(CrossProductSpec(nu, m), 60)
+            seq = besselx.zeros(nu, m, 60)
             total = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
                 seq.zeros, 60, 1.0, slope=math.pi / 2.0)
-            exact = besselx.taylor_sum_rule_exact(CrossProductSpec(nu, m), 2)
+            exact = besselx.taylor_sum_rule_exact(nu, m, 2)
             worst_sum = max(worst_sum, abs(total - float(exact)))
     assert worst_sum <= 1e-6
     # (c) lambda_{n+m,1} >= n for n = 1..20
     for m in (1, 2, 3):
         for n in range(1, 21):
-            lam1 = besselx.zeros(CrossProductSpec(n + m, m), 1).zeros[0]
+            lam1 = besselx.zeros(n + m, m, 1).zeros[0]
             assert lam1 >= n
     # (d) derivative-norm identity on the first 10 zeros, n <= 5, m <= 3
     worst_norm = 0.0
     for m in range(4):
         for nu in range(m + 1, m + 6):
-            seq = besselx.zeros(CrossProductSpec(nu, m), 10)
+            seq = besselx.zeros(nu, m, 10)
             for lam in seq.zeros:
                 if m == 0 and abs(bessel_j(nu, float(lam))) < 1e-8:
                     continue  # m = 0 degenerates at the J-factor zeros

@@ -145,7 +145,7 @@ class TestCrossProducts:
 
 class TestZeroSequences:
     def test_spec_00_first_four(self):
-        seq = bx.zeros(bx.CrossProductSpec(0, 0), 4)
+        seq = bx.zeros(0, 0, 4)
         expected = [2.404825557695773, 3.831705970207512,
                     5.520078110286311, 7.015586669815619]
         assert np.allclose(seq.zeros, expected, atol=1e-11)
@@ -153,31 +153,31 @@ class TestZeroSequences:
     def test_symmetry_of_sequences(self):
         # zeros() canonicalizes (1, 4) to (3, 4), so evaluate the mirror
         # order's own L_1 at the zeros solved for L_3; L_2 there is not small
-        seq = bx.zeros(bx.CrossProductSpec(1, 4), 12)
-        assert seq.spec.n == 3
+        seq = bx.zeros(1, 4, 12)
+        assert (seq.n, seq.m) == (3, 4)
         assert np.max(np.abs(bx.cross_L(1, 4, seq.zeros)) / seq.local_scales) < 1e-10
         assert np.min(np.abs(bx.cross_L(2, 4, seq.zeros)) / seq.local_scales) > 1e-3
 
     def test_lower_bound_on_first_zero(self):
         for m in (1, 2, 3):
             for n in (1, 5, 12, 20):
-                lam1 = bx.zeros(bx.CrossProductSpec(n + m, m), 1).zeros[0]
+                lam1 = bx.zeros(n + m, m, 1).zeros[0]
                 assert lam1 >= n
 
     def test_interlacing_generic(self):
         nu, m, K = 5, 2, 40
-        lam = bx.zeros(bx.CrossProductSpec(nu, m), K).zeros
+        lam = bx.zeros(nu, m, K).zeros
         merged = bx._merged_factor_zeros(nu, m, K + 3)
         for i in range(K - 1):
             inside = np.sum((merged > lam[i]) & (merged < lam[i + 1]))
             assert inside == 1
 
     def test_residual_scaled(self):
-        seq = bx.zeros(bx.CrossProductSpec(4, 3), 30)
+        seq = bx.zeros(4, 3, 30)
         assert np.max(seq.residuals / seq.local_scales) < 1e-10
 
     def test_certified_count(self):
-        seq = bx.zeros(bx.CrossProductSpec(2, 1), 25)
+        seq = bx.zeros(2, 1, 25)
         assert len(seq.zeros) == 25
         assert np.all(np.diff(seq.zeros) > 0)
         assert np.all(seq.zeros > 0)
@@ -196,7 +196,7 @@ class TestBatchedSequences:
     def _assert_same(got, want, label):
         for field in dataclasses.fields(bx.SpectralSequence):
             a, b = getattr(got, field.name), getattr(want, field.name)
-            assert (a == b) if field.name == "spec" else np.array_equal(a, b), \
+            assert (a == b) if field.name in ("n", "m") else np.array_equal(a, b), \
                 (label, field.name)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
@@ -209,9 +209,9 @@ class TestBatchedSequences:
         assert len(batch) == len(orders)
         for n, got in zip(orders, batch):
             monkeypatch.setattr(bx, "_SEQUENCES", {})  # a solo solve, not a memo hit
-            solo = bx.zeros(bx.CrossProductSpec(n, m), K)
+            solo = bx.zeros(n, m, K)
             assert solo is not got
-            assert got.spec == solo.spec == bx.CrossProductSpec(n, m).canonical()
+            assert (got.n, got.m) == (solo.n, solo.m) == (max(n, m - n), m)
             self._assert_same(got, solo, n)
             assert len(got.zeros) == K
 
@@ -253,6 +253,10 @@ class TestBatchedSequences:
         with pytest.raises(ValueError):
             bx.zero_sequences([(3, 2)], 0)
 
+    def test_rejects_negative_twist_degree(self):
+        with pytest.raises(ValueError, match="twist degree"):
+            bx.zero_sequences([(1, -1)], 3)
+
 
 class TestSequenceMemo:
     """zero_sequences solves each canonical (n, m) once per K and process."""
@@ -266,7 +270,7 @@ class TestSequenceMemo:
         again = bx.zero_sequences([(3, 5), *self.PAIRS], 12)
         assert again[0] is first[0]  # (3, 5) is the mirror of (2, 5)
         assert all(a is b for a, b in zip(again[1:], first))
-        assert bx.zeros(bx.CrossProductSpec(4, 4), 12) is first[1]
+        assert bx.zeros(4, 4, 12) is first[1]
 
     def test_batch_solves_only_the_missing_pairs(self, monkeypatch):
         monkeypatch.setattr(bx, "_SEQUENCES", {})
@@ -296,7 +300,7 @@ class TestSequenceMemo:
             TestBatchedSequences._assert_same(a, b, pair)
 
     def test_memoized_sequences_are_read_only(self):
-        seq = bx.zeros(bx.CrossProductSpec(4, 3), 10)
+        seq = bx.zeros(4, 3, 10)
         for a in (seq.zeros, seq.residuals, seq.local_scales):
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -306,27 +310,42 @@ class TestSequenceMemo:
 
 class TestSumRules:
     def test_exact_00(self):
-        assert bx.taylor_sum_rule_exact(bx.CrossProductSpec(0, 0), 2) == \
+        assert bx.taylor_sum_rule_exact(0, 0, 2) == \
             Fraction(3, 8)
 
+    @staticmethod
+    def _g_series(nu, m):
+        """Taylor coefficients of G_nu = I_{nu+1} I_{nu-m} + I_nu I_{nu-m-1},
+        each product convolved from five terms of each I series."""
+        def i_series(order):
+            order = abs(order)
+            return {order + 2 * r: Fraction(1, 2 ** (order + 2 * r) * math.factorial(r)
+                                            * math.factorial(order + r)) for r in range(5)}
+
+        out = {}
+        for a, b in ((nu + 1, nu - m), (nu, nu - m - 1)):
+            for ea, ca in i_series(a).items():
+                for eb, cb in i_series(b).items():
+                    out[ea + eb] = out.get(ea + eb, Fraction(0)) + ca * cb
+        return out
+
     def test_newton_identity(self):
-        # e2 relation: S4 = S2^2 - 2 e2, checked through the series route
-        spec = bx.CrossProductSpec(3, 1)
-        series = bx._g_series(3, 1)
-        e = min(series)
-        l = series[e]
-        e1 = series[e + 2] / l
-        e2 = series[e + 4] / l
-        assert bx.taylor_sum_rule_exact(spec, 4) == e1 * e1 - 2 * e2
+        # S2 = e1 and S4 = e1^2 - 2 e2 against the series convolved term by
+        # term, on both branches (nu >= m + 1 and nu <= m) and mirror orders
+        for nu, m in [(3, 1), (0, 0), (4, 2), (2, 4), (5, 5), (9, 3), (1, 2), (0, 7)]:
+            series = self._g_series(nu, m)
+            e = min(series)
+            e1, e2 = series[e + 2] / series[e], series[e + 4] / series[e]
+            assert bx.taylor_sum_rule_exact(nu, m, 2) == e1, (nu, m)
+            assert bx.taylor_sum_rule_exact(nu, m, 4) == e1 * e1 - 2 * e2, (nu, m)
 
     @pytest.mark.parametrize("nu,m", [(0, 0), (2, 1), (5, 2), (3, 3), (8, 4)])
     def test_zero_sum_matches_taylor(self, nu, m):
         K = 60
-        seq = bx.zeros(bx.CrossProductSpec(nu, m), K)
+        seq = bx.zeros(nu, m, K)
         total = float(np.sum(seq.zeros ** -2.0)) + zero_tail_sum(
             seq.zeros, K, 1.0, slope=math.pi / 2.0)
-        assert total == pytest.approx(float(bx.taylor_sum_rule_exact(
-            bx.CrossProductSpec(nu, m), 2)), abs=1e-6)
+        assert total == pytest.approx(float(bx.taylor_sum_rule_exact(nu, m, 2)), abs=1e-6)
 
 
 class TestSpectrum:
@@ -363,7 +382,7 @@ class TestEigenNorm:
     def test_agreement(self, m):
         worst = 0.0
         for nu in range(m + 1, m + 6):
-            seq = bx.zeros(bx.CrossProductSpec(nu, m), 10)
+            seq = bx.zeros(nu, m, 10)
             for lam in seq.zeros:
                 lhs, rhs = bx.eigen_norm_check(nu, m, float(lam))
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
@@ -372,7 +391,7 @@ class TestEigenNorm:
     @pytest.mark.parametrize("m", [0, 1, 3])
     def test_array_equals_scalar_calls(self, m):
         nu = m + 2
-        lam = bx.zeros(bx.CrossProductSpec(nu, m), 10).zeros
+        lam = bx.zeros(nu, m, 10).zeros
         lam = lam[np.abs(bessel_j_many((nu,), lam)[nu]) >= 1e-8]
         lhs, rhs = bx.eigen_norm_check(nu, m, lam)
         assert lhs.shape == rhs.shape == lam.shape
@@ -383,7 +402,7 @@ class TestEigenNorm:
         # orders and twist degrees as arrays broadcast against the points
         nu = np.array([[4], [2], [6], [3]])
         m = np.array([[1], [0], [3], [2]])
-        lam = np.array([bx.zeros(bx.CrossProductSpec(int(n), int(d)), 6).zeros
+        lam = np.array([bx.zeros(int(n), int(d), 6).zeros
                         for n, d in zip(nu[:, 0], m[:, 0])])
         lam[1] += 0.25  # off the J zeros of the m = 0 order, where J_nu vanishes
         lhs, rhs = bx.eigen_norm_check(nu, m, lam)
@@ -409,11 +428,17 @@ class TestEigenNorm:
         # r^{-2m} times volume r^{-4}), against which the r^m growth of
         # the outer branch cancels and the closed two-term norm holds
         nu, m = 4, 2
-        lam = float(bx.zeros(bx.CrossProductSpec(nu, m), 1).zeros[0])
-        left = bx.eigenfunction_radial(nu, m, lam, 1.0 - 1e-9)
-        right = bx.eigenfunction_radial(nu, m, lam, 1.0 + 1e-9)
-        assert left == pytest.approx(right, abs=1e-7)
-        phi = np.vectorize(lambda r: bx.eigenfunction_radial(nu, m, lam, r))
+        lam = float(bx.zeros(nu, m, 1).zeros[0])
+
+        def radial(r):
+            # J_nu(lam r) inside, the matched J_{nu-m}(lam/r) branch outside
+            if r <= 1.0:
+                return bessel_j(nu, lam * r)
+            return (bessel_j(nu, lam) / bessel_j(nu - m, lam) * r ** m
+                    * bessel_j(nu - m, lam / r))
+
+        assert radial(1.0 - 1e-9) == pytest.approx(radial(1.0 + 1e-9), abs=1e-7)
+        phi = np.vectorize(radial)
         # the piece on [1, inf) mapped onto [0, 1] by r = 1/t
         norm = (adaptive_quad(lambda r: phi(r) ** 2 * r, 0.0, 1.0)
                 + adaptive_quad(lambda t: phi(1.0 / t) ** 2 * t ** (2 * m + 1),

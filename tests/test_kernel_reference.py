@@ -1,11 +1,12 @@
 """The J kernel against a frozen copy of an earlier implementation.
 
 ``bessel_j_orders`` writes every recurrence step into preallocated buffers
-and bounds |f| from the magnitudes its rescale screen already computed.
-Neither change may move a bit: the reference below is the kernel as it was
-before, with a fresh array per operation and a rescale that rescans the
-whole array, and every real output must equal it bit for bit, NaN and the
-sign of zero included.
+and rescales only the points whose |f| passes 1e280, with its bounds on |f|
+and |f'| reset to their maxima after each rescale.  Neither change may move
+a bit: the reference below is the kernel as it was before, with a fresh
+array per operation and a rescale screened on the float view, whose bound
+on a complex |f| is up to 1.5 times too high, and every real output must
+equal it bit for bit, NaN and the sign of zero included.
 
 The reference started every complex point of a row at the index of the
 row's largest |z|; the kernel now starts each complex point at its own

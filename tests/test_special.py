@@ -243,7 +243,7 @@ def _full_rescale(k, out, f, *sums):
 
 class TestSparseRescale:
     """_rescale touches only the points that overflow, with the factors and
-    decisions of the whole-array rescale."""
+    decisions of the whole-array rescale, on the kernel's flat buffers."""
 
     @staticmethod
     def _inputs(rng, cplx, shape):
@@ -253,11 +253,11 @@ class TestSparseRescale:
         f = mag * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, shape))
         # points whose parts both stay below 1e280 while |f| passes it, and
         # points just below and just above the threshold on the axes
-        f.flat[:4] = [0.75e280 * (1 + 1j), 0.7e280 * (1 - 1j), 0.99e280j, -1.01e280]
+        f[:4] = [0.75e280 * (1 + 1j), 0.7e280 * (1 - 1j), 0.99e280j, -1.01e280]
         return f
 
     @pytest.mark.parametrize("cplx", [False, True])
-    @pytest.mark.parametrize("shape", [(300,), (6, 50)])
+    @pytest.mark.parametrize("shape", [(300,), (37,)])
     def test_equals_whole_array_rescale(self, cplx, shape):
         rng = np.random.default_rng(7)
         f, fp, s1, s2 = (self._inputs(rng, cplx, shape) for _ in range(4))
@@ -266,20 +266,12 @@ class TestSparseRescale:
             want_out = out.copy()
             want = _full_rescale(k, want_out, f, fp, s1, s2)
             got_out = out.copy()
-            *got, bound, bound_p = sp._rescale(k, got_out, f.copy(), fp.copy(),
-                                               s1.copy(), s2.copy())
+            got = f.copy(), fp.copy(), s1.copy(), s2.copy()
+            bound, bound_p = sp._rescale(k, got_out, *got)
             assert 0 < np.sum(np.abs(f) > 1e280) < f.size
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
             assert np.array_equal(got_out, want_out)
-            assert np.max(np.abs(got[0])) <= bound and np.max(np.abs(got[1])) <= bound_p
-
-    def test_scalar(self):
-        out = np.full(5, 3e290)
-        f, fp, s, bound, bound_p = sp._rescale(2, out, np.float64(2e285),
-                                               np.float64(1e284), np.float64(5.0))
-        assert (f, fp, s) == (2e285 * 1e-280, 1e284 * 1e-280, 5.0 * 1e-280)
-        assert list(out) == [3e290, 3e290] + [3e290 * 1e-280] * 3
-        assert (bound, bound_p) == (abs(f), abs(fp))
+            assert (bound, bound_p) == (np.max(np.abs(want[0])), np.max(np.abs(want[1])))
 
 
 class TestBesselILog:

@@ -281,7 +281,7 @@ class TestDirectZeroCache:
         monkeypatch.setattr(zr.besselx, "_solve_sequences", None)  # a warm call solves nothing
         assert [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)] == cold
         seqs = zr.besselx.zero_sequences([(nu, 1) for nu in zr._sum_orders(1)], 60)
-        assert all(seq is zr.besselx._SEQUENCES[(seq.spec.n, 1, 60)] for seq in seqs)
+        assert all(seq is zr.besselx._SEQUENCES[(seq.n, 1, 60)] for seq in seqs)
         with pytest.raises(ValueError):
             seqs[0].zeros[0] = 0.0
 
