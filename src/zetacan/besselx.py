@@ -457,8 +457,8 @@ def taylor_sum_rule_exact(n: int, m: int, power: int = 2) -> Fraction:
     G_n = G_{m-n} term by term, so both orders of a symmetry class give the
     same value.
     """
-    if power not in (2, 4):
-        raise ValueError("power must be 2 or 4")
+    if power not in (2, 4) or m < 0:
+        raise ValueError("require power 2 or 4 and twist degree m >= 0")
     return _power_sums(n, m)[power // 2 - 1]
 
 

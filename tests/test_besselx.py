@@ -256,6 +256,8 @@ class TestBatchedSequences:
     def test_rejects_negative_twist_degree(self):
         with pytest.raises(ValueError, match="twist degree"):
             bx.zero_sequences([(1, -1)], 3)
+        with pytest.raises(ValueError, match="twist degree"):
+            bx.taylor_sum_rule_exact(1, -1)
 
 
 class TestSequenceMemo:
