@@ -8,11 +8,13 @@ zeta, its s-derivative and digamma come from one Euler-Maclaurin form;
 Riemann zeta values for s < -1/2 go through the functional equation.
 
 The Bessel layer is array-first.  ``bessel_j_orders`` yields J_0 .. J_n at
-every point of a real or complex array from one downward (Miller)
-recurrence, normalized by the Neumann series (against ``cos z`` where the
-imaginary part is large).  Each point starts the recurrence at its own
-index, so its values never depend on the other points of the call and many
-contours go through one pass.  ``bessel_j``,
+every point of a real or complex array.  A point far out on the right,
+|x| >= max(30, 2 n), takes Hankel's large-argument expansion for J_0 and
+J_1 and forward recurrence above; every other point takes one downward
+(Miller) recurrence, normalized by the Neumann series (against ``cos z``
+where the imaginary part is large), started at its own index.  Either way
+its values never depend on the other points of the call, and many contours
+go through one pass.  ``bessel_j``,
 ``bessel_j_many`` and ``bessel_j_complex_many`` are thin views of its
 table, and ``_j_signed`` is the one reader of negative orders in it.
 ``bessel_i_log`` gives log I_n(x) for orders and points broadcast together,
@@ -274,41 +276,67 @@ def _rescale(k, out, f, fp, *sums):
 def bessel_j_orders(n_max, x) -> np.ndarray:
     """J_0 .. J_n_max at every point of ``x``, shape ``(n_max + 1, *x.shape)``.
 
-    One downward (Miller) recurrence serves all orders and all points, real
-    or complex; a point's running sums are rescaled by 1e-280 whenever its
-    value passes 1e280.  Normalization is the Neumann sum J_0 + 2 sum J_2k =
-    1, or, for complex points with |Im z| > 1 where that sum cancels
-    exponentially, cos z = J_0 + 2 sum (-1)^k J_2k.  ``n_max`` may be an
-    integer array broadcast against ``x`` giving each point's highest order
-    (orders above it are not accurate there).  Every point, real or complex,
-    starts the recurrence at its own index, set by its own |x| and highest
-    order, so a point's values never depend on the other points of the call,
-    and a small |z| is not run up from the start that a large |z| needs.
+    ``n_max`` may be an integer array broadcast against ``x`` giving each
+    point's highest order (orders above it are not accurate there).  Each
+    point takes one of two regimes, chosen from its own x and highest order
+    alone, so a point's values never depend on the other points of the call:
+
+    * Re x > 0, |x| >= max(30, 2 n_max) and n_max^2 |Im x| <= 4 |x|^2:
+      Hankel's large-argument expansion of J_0 and J_1, then forward
+      recurrence up to the point's own highest order (``_hankel_rows``; its
+      rows above are 0);
+    * every other point: one downward (Miller) recurrence
+      (``_miller_rows``).
+    """
+    x = np.asarray(x)
+    shape = x.shape
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64).reshape(-1)
+    top = int(np.max(n_max))
+    if x.size == 0:
+        return np.empty((top + 1,) + shape, dtype=x.dtype)
+    tops = np.broadcast_to(n_max, shape).reshape(-1)
+    xa = np.abs(x)
+    far = (x.real > 0.0) & (xa >= np.maximum(30.0, 2.0 * tops))
+    if x.dtype.kind == "c":
+        far &= tops * tops * np.abs(x.imag) <= 4.0 * xa * xa
+    if not far.any():
+        return _miller_rows(tops, x, top).reshape((top + 1,) + shape)
+    out = np.empty((top + 1, x.size), dtype=x.dtype)
+    _hankel_rows(tops, x, np.flatnonzero(far), out)
+    near = np.flatnonzero(~far)
+    if near.size:
+        out[:, near] = _miller_rows(tops[near], x[near], top)
+    return out.reshape((top + 1,) + shape)
+
+
+def _miller_rows(tops, x, top) -> np.ndarray:
+    """J_0 .. J_top at the points of the 1-d array ``x`` by one downward
+    recurrence, as a (top + 1, x.size) table; ``tops`` holds each point's
+    highest order.
+
+    A point's running sums are rescaled by 1e-280 whenever its value passes
+    1e280.  Normalization is the Neumann sum J_0 + 2 sum J_2k = 1, or, for
+    complex points with |Im z| > 1 where that sum cancels exponentially,
+    cos z = J_0 + 2 sum (-1)^k J_2k.  Every point starts the recurrence at
+    its own index, set by its own |x| and highest order, and a small |z| is
+    not run up from the start that a large |z| needs.
 
     A step costs a few ufunc calls whatever the number of points, so the
     loop writes every step into preallocated buffers, in the operation
     order of the plain expressions and so with their bits, and rescales
     only when a running bound on |f| passes 1e280.
     """
-    x = np.asarray(x)
-    cplx = np.iscomplexobj(x)
-    x = x.astype(np.complex128 if cplx else np.float64)
-    top = int(np.max(n_max))
-    shape = x.shape
+    cplx = x.dtype.kind == "c"
     out = np.empty((top + 1, x.size), dtype=x.dtype)
-    if x.size == 0:
-        return out.reshape((top + 1,) + shape)
     zero = x == 0.0
     if zero.any():
         x = np.where(zero, 1.0, x)
     # each point's start: an index past which J is negligible for its orders
     xa = np.maximum(np.abs(x), 1.0)
-    start = (np.maximum(n_max, xa) + 12.0 * xa ** (1.0 / 3.0) + 22).astype(int)
-    # the recurrence is pointwise: run it on flat arrays
-    x, zero = x.reshape(-1), zero.reshape(-1)
+    start = (np.maximum(tops, xa) + 12.0 * xa ** (1.0 / 3.0) + 22).astype(int)
     # points grouped by start index: group g is order[edges[g]:edges[g + 1]]
-    order = np.argsort(start, axis=None, kind="stable")
-    starts, first = np.unique(start.ravel()[order], return_index=True)
+    order = np.argsort(start, kind="stable")
+    starts, first = np.unique(start[order], return_index=True)
     starts, edges, g = starts.tolist(), first.tolist() + [order.size], len(starts) - 1
     # unnormalized J_k and J_{k+1}, two scratch buffers, the two sums
     f, fp, a, b, neumann, cos_norm = (np.zeros(x.size, dtype=x.dtype) for _ in range(6))
@@ -317,7 +345,9 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     # rescale test on the steps where no value can have passed 1e280
     growth = float(np.max(np.abs(inv_x)))
     bound = bound_p = 0.0
-    for k in range(starts[-1], -1, -1):
+    # from row top at least: the rows above every start hold the zeros that
+    # the recurrence makes there
+    for k in range(max(starts[-1], top), -1, -1):
         if g >= 0 and k == starts[g]:
             f[order[edges[g]:edges[g + 1]]] = 1e-30
             bound = max(bound, 1e-30)
@@ -346,7 +376,67 @@ def bessel_j_orders(n_max, x) -> np.ndarray:
     if zero.any():
         out[:, zero] = 0.0
         out[0, zero] = 1.0
-    return out.reshape((top + 1,) + shape)
+    return out
+
+
+def _hankel_coefficients(terms: int = 18) -> np.ndarray:
+    # (-1)^j a_{2j}(nu) and (-1)^j a_{2j+1}(nu) of DLMF 10.17.1, nu = 0, 1:
+    # shape (2 [P, Q], terms // 2, 2 [nu]), highest power first for Horner
+    nu, a = np.array([0.0, 1.0]), np.ones((terms, 2))
+    for k in range(1, terms):
+        a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+    a *= np.repeat([1.0, -1.0], 2)[np.arange(terms) % 4, None]
+    return np.stack([a[0::2], a[1::2]])[:, ::-1].copy()
+
+
+# 18 terms: at |x| >= 30 the last one is below 4e-18 of the leading term
+_HANKEL = _hankel_coefficients()
+
+
+def _hankel_rows(tops, x, cols, out) -> None:
+    """J_0 .. J_top at the points ``cols`` of the 1-d array ``x``, which have
+    Re x > 0 and |x| >= max(30, 2 tops), written into their columns of the
+    (top + 1, x.size) table ``out``, 0 above each point's highest order.
+
+    J_0 and J_1 come from Hankel's expansion (DLMF 10.17.3),
+    J_nu = sqrt(2/(pi x)) (P_nu cos w - Q_nu sin w) with w = x - nu pi/2 - pi/4,
+    and cos w, sin w taken from cos x and sin x.  J_2 .. J_tops follow by
+    forward recurrence.  On the real axis that is stable while the order
+    stays below |x|/2; off it, the Hankel function that J does not follow
+    grows against J by about exp(n^2 |Im x| / (2 |x|^2)) over n steps, and
+    n^2 |Im x| <= 4 |x|^2 keeps that below e^2.  Each point stops at its
+    own highest order, on a prefix of the points sorted by it, so no row
+    above it is ever formed.
+    """
+    top = out.shape[0] - 1
+    tops = tops[cols]
+    # stable, highest order first; small unsigned keys take numpy's radix sort
+    order = np.argsort((top - tops).astype(np.min_scalar_type(top)), kind="stable")
+    cols, tops = cols[order], tops[order]
+    x = x[cols]
+    w = 1.0 / (x * x)
+    pq = np.zeros((2, 2, x.size), dtype=x.dtype)
+    for coef in np.moveaxis(_HANKEL, 1, 0):  # Horner in 1/x^2
+        pq *= w
+        pq += coef[..., None]
+    (p0, p1), (q0, q1) = pq
+    q0 /= x
+    q1 /= x
+    c, s = np.cos(x), np.sin(x)
+    cw, sw = math.sqrt(0.5) * (c + s), math.sqrt(0.5) * (s - c)  # cos w, sin w at nu = 0
+    amp = np.sqrt(2.0 / (math.pi * x))
+    h = np.zeros((top + 1, x.size), dtype=x.dtype)
+    h[0] = amp * (p0 * cw - q0 * sw)
+    # live[k] points have an order k + 1: a prefix of the sorted points
+    live = np.searchsorted(-tops, -np.arange(1, top + 1), side="right")
+    if top >= 1:
+        h[1] = amp * (p1 * sw + q1 * cw)  # w - pi/2 at nu = 1
+        h[1, live[0]:] = 0.0
+    inv_x = 2.0 / x
+    for k in range(1, int(tops[0])):
+        n = live[k]
+        h[k + 1, :n] = k * inv_x[:n] * h[k, :n] - h[k - 1, :n]
+    out[:, cols] = h
 
 
 def _j_signed(j, q, *points) -> np.ndarray:

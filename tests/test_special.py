@@ -197,18 +197,100 @@ class TestKernel:
 
     def test_complex_bit_identical_to_fixture(self):
         # values captured at contour nodes of the zeta contour route, each
-        # point starting its recurrence at its own index; the kernel must
-        # reproduce them exactly so contour-route results do not move
+        # point starting its recurrence at its own index; the points that
+        # keep the Miller recurrence must reproduce them exactly (the
+        # others take Hankel's expansion, checked in TestHankelRegime)
         from pathlib import Path
+
+        from test_kernel_reference import _miller_points
 
         with np.load(Path(__file__).parent / "golden" / "complex_j.npz") as d:
             cases = sorted(k[2:] for k in d.files if k.startswith("z_"))
             assert cases
             for key in cases:
                 orders = tuple(int(n) for n in d[f"orders_{key}"])
-                vals = sp.bessel_j_complex_many(orders, d[f"z_{key}"])
+                z = d[f"z_{key}"]
+                keep = _miller_points(max(orders), z)
+                assert keep.any(), key
+                vals = sp.bessel_j_complex_many(orders, z)
                 got = np.stack([vals[n] for n in orders])
-                assert np.array_equal(got, d[f"j_{key}"]), key
+                assert np.array_equal(got[:, keep], d[f"j_{key}"][:, keep]), key
+
+
+def _amplitude(x):
+    # the size of J_n(x) for n <= |x|/2: sqrt(2 / (pi |x|)) e^{|Im x|}
+    return np.sqrt(2.0 / (np.pi * np.abs(x))) * np.exp(np.abs(x.imag))
+
+
+def _hankel_tops(x, rng):
+    # random orders up to the highest a point may ask for in Hankel's
+    # regime: |x| / 2, and top^2 |Im x| <= 4 |x|^2 off the real axis
+    cap = np.floor(np.minimum(np.abs(x) / 2.0,
+                              2.0 * np.abs(x) / np.sqrt(np.maximum(np.abs(x.imag), 1e-300))))
+    return np.where(rng.random(x.size) < 0.5, cap, rng.integers(0, cap + 1)).astype(int)
+
+
+class TestHankelRegime:
+    """Points with Re x > 0, |x| >= max(30, 2 top) and top^2 |Im x| <= 4 |x|^2
+    take Hankel's expansion for J_0 and J_1 and forward recurrence above."""
+
+    def _assert_against_scipy(self, tops, x):
+        got = sp.bessel_j_orders(tops, x)
+        for i in range(x.size):
+            n = np.arange(tops[i] + 1)
+            err = np.max(np.abs(got[n, i] - jv(n, x[i]))) / _amplitude(x[i])
+            assert err < 1e-13, (x[i], tops[i], err)
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_band_against_scipy(self, cplx):
+        rng = np.random.default_rng(11 + cplx)
+        x = rng.uniform(30.0, 80.0, 400)
+        if cplx:
+            x = x * np.exp(1j * rng.uniform(-1.5, 1.5, x.size))
+        self._assert_against_scipy(_hankel_tops(x, rng), x)
+
+    def test_threshold_against_scipy(self):
+        # |x| = max(30, 2 top) exactly: x = 30 at every top it allows, then
+        # x = 2 top, real and at the largest |Im x| the bound allows
+        tops = np.concatenate([np.arange(16), np.arange(15, 61), np.arange(15, 61)])
+        r = np.maximum(30.0, 2.0 * tops)
+        im = np.where(np.arange(tops.size) >= 62, np.minimum(16.0, 0.9 * r), 0.0)
+        x = np.sqrt(r * r - im * im) + 1j * im
+        assert np.allclose(np.abs(x), r, rtol=1e-15, atol=0.0)
+        self._assert_against_scipy(tops, x)
+
+    def test_agrees_with_miller_on_overlap_band(self):
+        # the regimes meet where both are accurate: |x| in [30, 80]
+        rng = np.random.default_rng(13)
+        x = rng.uniform(30.0, 80.0, 300) * np.exp(1j * rng.uniform(-0.6, 0.6, 300))
+        tops = _hankel_tops(x, rng)
+        hankel = sp.bessel_j_orders(tops, x)
+        miller = sp._miller_rows(tops, x, int(tops.max()))
+        for i in range(x.size):
+            n = np.arange(tops[i] + 1)
+            assert np.max(np.abs(hankel[n, i] - miller[n, i])) < 1e-13 * _amplitude(x[i])
+
+    def test_regimes_mix_per_point(self):
+        # each point takes its regime from its own x and top, so a batch of
+        # both regimes equals one-point calls bit for bit
+        x = np.array([29.9, 30.0, 80.0, 80.0, -80.0, 45.0 + 60.0j, 45.0 + 3.0j, 200.0 + 1j])
+        tops = np.array([3, 3, 40, 41, 5, 20, 20, 90])
+        batch = sp.bessel_j_orders(tops, x)
+        for i in range(x.size):
+            alone = sp.bessel_j_orders(tops[i], x[i:i + 1])
+            assert np.array_equal(batch[:tops[i] + 1, i], alone[:, 0]), i
+
+    def test_rows_above_a_point_top_stay_quiet(self):
+        # x = 30 with top 1 in a call whose top is 60: a forward recurrence
+        # run to order 60 would grow like Y_60(30); the rows above stay 0
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sp.bessel_j_orders(np.array([1, 60, 0]), np.array([30.0, 1.5, 1e4]))
+        assert np.all(np.isfinite(got))
+        assert not got[2:, 0].any() and not got[1:, 2].any()
+        assert got[:2, 0] == pytest.approx(jv([0, 1], 30.0), rel=0.0, abs=1e-15)
 
 
 class TestComplexBatch:
