@@ -26,6 +26,10 @@ entry of ``reports.json`` were re-captured when complex points of the J
 kernel began to start their recurrence at their own index, which moved
 contour-route values in the last bits (by at most 1.8e-12 in zeta'(0), at
 M = 64); the other contour entries stay within 1e-12 of their capture.
+The M = 0, 1, 6 and 24 contour CSV files and ``spectrum_m30`` were
+re-captured again when large arguments of the J kernel moved to Hankel's
+expansion: zeta'(0) moved by at most 2.5e-13 (M = 6), and one lambda of
+``spectrum_m30`` moved by 1 ulp, onto the correctly rounded zero.
 ``golden/verify_all.txt`` holds the 85 verdicts and check names of ``verify
 --suite all``; the ``err=`` details are left out, since they may move in the
 last digits when an implementation is merged or reordered.
