@@ -58,6 +58,7 @@ __all__ = [
     "cross_G_norm_log",
     "small_z_exponent",
     "small_z_coefficient",
+    "representative",
     "zero_sequences",
     "zeros",
     "taylor_sum_rule_exact",
@@ -248,7 +249,7 @@ def cross_G_log(n: int, m: int, x):
 
 def small_z_exponent(n: int, m: int) -> int:
     """Exponent e with G_n(z) ~ l z^e as z -> 0."""
-    n = max(n, m - n)
+    n = representative(n, m)
     if n >= m + 1:
         return 2 * n - m - 1
     return m + 1
@@ -256,7 +257,7 @@ def small_z_exponent(n: int, m: int) -> int:
 
 def small_z_coefficient(n: int, m: int) -> Fraction:
     """Leading coefficient l of G_n(z) = l z^e + o(z^e), exact."""
-    n = max(n, m - n)
+    n = representative(n, m)
     if n >= m + 1:
         return Fraction(1, 2 ** (2 * n - m - 1)
                         * math.factorial(n) * math.factorial(n - m - 1))
@@ -278,6 +279,12 @@ def cross_G_norm_log(n: int, m: int, x):
 # ----------------------------------------------------------------------
 # Zero sequences of L_n
 # ----------------------------------------------------------------------
+
+def representative(n: int, m: int) -> int:
+    """max(n, m - n): the order that stands for the symmetry class {n, m - n}
+    of L_n, whose members share their zeros and profiles."""
+    return max(n, m - n)
+
 
 def _factorized(nu: int, m: int) -> bool:
     """True when L_nu is a product of two J factors: m = 0 or 2 nu = m."""
@@ -357,7 +364,7 @@ def zero_sequences(pairs, K: int) -> list:
     """
     if K < 1:
         raise ValueError("K must be >= 1")
-    keys = [(max(n, m - n), m) for n, m in pairs]
+    keys = [(representative(n, m), m) for n, m in pairs]
     if any(m < 0 for _, m in keys):
         raise ValueError("twist degree m must be >= 0")
     missing = [key for key in dict.fromkeys(keys) if key + (K,) not in _SEQUENCES]

@@ -171,17 +171,18 @@ class AsymptoticProfile:
         return self.fit_residual <= 1e-8
 
 
-def _profile_basis(z: np.ndarray, inverse_degree: int) -> np.ndarray:
-    cols = [z, np.log(z * z), np.ones_like(z)]
-    for p in range(1, inverse_degree + 1):
-        cols.append(z ** (-float(p)))
-    return np.stack(cols, axis=1)
+def _scaled_lstsq(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients of ``vals`` in the columns of ``basis``,
+    each column scaled to a largest magnitude of 1 for the solve, so that
+    columns of very different size (z and z^-6) all keep their digits."""
+    scale = np.max(np.abs(basis), axis=0)
+    coef, *_ = np.linalg.lstsq(basis / scale, vals, rcond=None)
+    return coef / scale
 
 
 def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
-                           n_nodes: int = 200,
-                           inverse_degree: int = 4) -> AsymptoticProfile:
-    """Least-squares fit of g(z) against {z, log z^2, 1, 1/z, ..., z^-deg}.
+                           n_nodes: int = 200) -> AsymptoticProfile:
+    """Least-squares fit of g(z) against {z, log z^2, 1, 1/z, ..., z^-4}.
 
     g is called once, on the whole log-spaced grid of the window.  The basis carries
     inverse powers beyond the reported c1 so that the O(1/z^3) model
@@ -193,15 +194,12 @@ def fit_asymptotic_profile(g, z_min: float = 30.0, z_max: float = 300.0,
         raise ValueError("require 0 < z_min < z_max")
     z = np.geomspace(z_min, z_max, n_nodes)
     vals = np.broadcast_to(np.asarray(g(z), dtype=float), z.shape)
-    basis = _profile_basis(z, inverse_degree)
-    scale = np.max(np.abs(basis), axis=0)
-    coef, *_ = np.linalg.lstsq(basis / scale, vals, rcond=None)
-    coef = coef / scale
+    basis = np.stack([z, np.log(z * z), np.ones_like(z)]
+                     + [z ** (-float(p)) for p in range(1, 5)], axis=1)
+    coef = _scaled_lstsq(basis, vals)
     resid = float(np.max(np.abs(basis @ coef - vals)))
-    return AsymptoticProfile(
-        d=float(coef[0]), a=float(coef[1]), b=float(coef[2]),
-        c1=float(coef[3]) if inverse_degree >= 1 else 0.0,
-        fit_residual=resid)
+    return AsymptoticProfile(d=float(coef[0]), a=float(coef[1]), b=float(coef[2]),
+                             c1=float(coef[3]), fit_residual=resid)
 
 
 def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
@@ -236,7 +234,6 @@ def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
 # Contour Mellin representation along Lambda_c
 # ----------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = _leggauss(16)
 # direction of the upper ray of Lambda_c, arg(z - c) = pi/8
 _PHASE = complex(math.cos(math.pi / 8.0), math.sin(math.pi / 8.0))
 
@@ -281,10 +278,11 @@ def _ray_layout(radius: float):
         edges.append(r)
         step = min(step * 1.22, 4.0)
     rs, ws = [], []
+    x, w = _leggauss(16)
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        rs.append(mid + half * _GL_NODES)
-        ws.append(half * _GL_WEIGHTS)
+        rs.append(mid + half * x)
+        ws.append(half * w)
     r, w = np.concatenate(rs), np.concatenate(ws)
     r.flags.writeable = w.flags.writeable = False
     return r, w
@@ -328,9 +326,7 @@ def _fit_ray_asymptotics(z: np.ndarray, vals: np.ndarray, r: np.ndarray,
     zz = z[sel]
     basis = np.stack([zz, np.log(zz * zz), np.ones_like(zz), 1.0 / zz,
                       1.0 / zz ** 2], axis=1)
-    scale = np.max(np.abs(basis), axis=0)
-    coef, *_ = np.linalg.lstsq(basis / scale, vals[sel], rcond=None)
-    return coef / scale
+    return _scaled_lstsq(basis, vals[sel])
 
 
 def mellin_contour_zeta(logp, contour: ContourSpec, s: float) -> float:

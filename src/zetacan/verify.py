@@ -51,7 +51,8 @@ def _zero_solves() -> dict:
         # orders n <= 10 of m <= 3 at K = 50; the first zeros of orders 3..22
         # at m = 2; the symmetry and derivative-norm pairs at K = 10
         "interlacing": (([(nu, m) for m in range(4)
-                          for nu in dict.fromkeys(max(n, m - n) for n in range(11))], 50),
+                          for nu in dict.fromkeys(besselx.representative(n, m)
+                                                  for n in range(11))], 50),
                         ([(n, 2) for n in range(3, 23)], 1),
                         ([(3, 3)] + [(nu, m) for m in range(4)
                                      for nu in range(m + 1, m + 4)], 10)),

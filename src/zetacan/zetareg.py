@@ -36,8 +36,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import besselx
-from .besselx import cross_G_norm_log, small_z_coefficient, small_z_exponent
-from .numerics import (AsymptoticProfile, ContourSpec, FitError,
+from .besselx import (cross_G_norm_log, representative, small_z_coefficient,
+                      small_z_exponent)
+from .numerics import (AsymptoticProfile, ContourSpec, FitError, _scaled_lstsq,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
 from .special import (EULER_GAMMA, _j_signed, _log, bessel_i_log,
@@ -148,7 +149,7 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
         a = (m+2)/2,
         b = log pi - (m+1) log 2 + log(m+2) - log G(nu+2) - log G(m-nu+2).
     """
-    nu = max(nu, m - nu)
+    nu = representative(nu, m)
     d = -2.0
     if nu >= m + 1:
         a = nu - 0.5 * m
@@ -165,17 +166,25 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
 
 
 def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
-    """Numerical profile of the same function, fitted from log-scaled
-    evaluations of the cross product at 160 points of the ray window
-    [80, 800], with inverse powers up to z^-5.
+    """Numerical profile of the same function: d, a and c1 pinned from
+    ``analytic_profile``, b fitted from log-scaled evaluations of the cross
+    product at 160 points of the ray window [80, 800].
 
-    The window sits where the dropped O(1/z^6) model terms are below
-    1e-10, so the fitted constant term is good to ~1e-9 even for the
-    low orders with O(10) expansion coefficients.
+    The pinned terms d z + a log z^2 + c1/z are subtracted, and b is fitted
+    together with the z^-2 .. z^-6 terms, on column-scaled basis vectors.
+    The Hankel terms of the product grow like (nu^2/z)^k, so as m grows the
+    dropped z^-7 term reaches the residual certification (1e-8), and the
+    fit stops certifying from m = 25.
     """
-    nu = max(nu, m - nu)
-    g = lambda z: -cross_G_norm_log(nu, m, z)
-    return fit_asymptotic_profile(g, 80.0, 800.0, n_nodes=160, inverse_degree=5)
+    nu = representative(nu, m)
+    pinned = analytic_profile(nu, m)
+    z = np.geomspace(80.0, 800.0, 160)
+    rest = -cross_G_norm_log(nu, m, z) - (pinned.d * z + pinned.a * np.log(z * z)
+                                          + pinned.c1 / z)
+    basis = np.stack([np.ones_like(z)] + [z ** -float(p) for p in range(2, 7)], axis=1)
+    coef = _scaled_lstsq(basis, rest)
+    return AsymptoticProfile(d=pinned.d, a=pinned.a, b=float(coef[0]), c1=pinned.c1,
+                             fit_residual=float(np.max(np.abs(basis @ coef - rest))))
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +234,7 @@ def _contour_samples(m: int, orders) -> list:
     its vertex, so rows of one (rows, nodes) array go through one complex
     kernel pass, as many rows at a time as the J table cap allows.
     """
-    nus = [max(nu, m - nu) for nu in orders]
+    nus = [representative(nu, m) for nu in orders]
     new = sorted(nu for nu in set(nus) if (nu, m) not in _CONTOUR_SAMPLES)
     if new:
         contours = [ContourSpec(c=0.5 * float(seq.zeros[0]), truncation_radius=240.0)

@@ -96,9 +96,11 @@ class TestQuad:
                                  8.0) == pytest.approx(math.sqrt(math.pi),
                                                        abs=1e-10)
 
-    def test_contour_panels_share_the_nodes(self):
+    def test_contour_panels_use_the_16_node_rule(self):
+        # the first panel of every ray is [0, 0.5]
         x, w = num._leggauss(16)
-        assert np.array_equal(num._GL_NODES, x) and np.array_equal(num._GL_WEIGHTS, w)
+        r, wr = num._ray_layout(240.0)
+        assert np.array_equal(r[:16], 0.25 + 0.25 * x) and np.array_equal(wr[:16], 0.25 * w)
 
     def test_unresolved_integrand_raises(self):
         # a jump inside the interval: successive rules differ by O(1/n)

@@ -55,6 +55,28 @@ class TestSequenceValues:
         assert z0pk == pytest.approx(z0pc, abs=1e-8)
 
 
+class TestProfileRange:
+    """The pinned profile fit: within 1e-8 of the closed value through m = 17,
+    certified through m = 24, FitError (exit 3) from m = 25."""
+
+    @pytest.mark.parametrize("m", range(18))
+    def test_profile_within_1e8_of_closed(self, m):
+        report = zr.zeta_canonical(m, check_routes=("profile",))
+        assert report.discrepancies["profile"] <= 1e-8
+
+    def test_m13_meets_both_route_tolerances(self):
+        report = zr.zeta_canonical(13, check_routes=("profile", "contour"))
+        assert report.discrepancies["profile"] <= 1e-8
+        assert report.discrepancies["contour"] <= 1e-6
+
+    @pytest.mark.parametrize("m,code", [(24, 0), (25, 3)])
+    def test_certified_range_exit_codes(self, m, code, capsys):
+        from zetacan import cli
+
+        assert cli.main(["zeta", "--m", str(m), "--route", "profile"]) == code
+        assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
+
+
 class TestComponents:
     def test_a_component_sampled(self):
         # A_m(0) = zeta(-1) + (m/2) zeta(0) = -1/12 - m/4, consistent with
