@@ -10,9 +10,12 @@ before the J kernel and zero solvers were rewritten, the other
 ``--check-routes`` entries before the modified Bessel I side took arrays,
 the other torsion entries before the J kernel's Miller loop stopped
 allocating, and the ``--route contour`` entries before each m's route
-values came from one call.  The
-known failure (profile not certified from M = 24) must keep failing the
-same way, and every reported value must stay where it was.  ``torsion --m
+values came from one call.  The ``--check-routes`` entries for M in 0..24
+were re-captured when the profile fit pinned d, a and c1 to their closed
+values: the profile route moved to within 1.3e-7 of the closed value
+(within 6.9e-9 through M = 17), and M = 24 certifies.  The known failure
+(profile not certified from M = 25) must keep failing the same way, and
+every reported value must stay where it was.  ``torsion --m
 59`` overflowed until the torsion integrals moved onto [0, 1]; its entry
 holds the report it prints since.
 
