@@ -379,17 +379,17 @@ def _miller_rows(tops, x, top) -> np.ndarray:
     return out
 
 
-def _hankel_coefficients(terms: int = 18) -> np.ndarray:
-    # (-1)^j a_{2j}(nu) and (-1)^j a_{2j+1}(nu) of DLMF 10.17.1, nu = 0, 1:
-    # shape (2 [P, Q], terms // 2, 2 [nu]), highest power first for Horner
-    nu, a = np.array([0.0, 1.0]), np.ones((terms, 2))
-    for k in range(1, terms):
+def _hankel_coefficients() -> np.ndarray:
+    # (-1)^j a_{2j}(nu) and (-1)^j a_{2j+1}(nu) of DLMF 10.17.1 for nu = 0, 1
+    # and j = 8 .. 0, shape (9, 2 [P, Q], 2 [nu]): Horner's order in 1/x^2.
+    # 18 terms: at |x| >= 30 the last one is below 4e-18 of the leading term
+    nu, a = np.array([0.0, 1.0]), np.ones((18, 2))
+    for k in range(1, 18):
         a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
-    a *= np.repeat([1.0, -1.0], 2)[np.arange(terms) % 4, None]
-    return np.stack([a[0::2], a[1::2]])[:, ::-1].copy()
+    a *= np.array([1.0, 1.0, -1.0, -1.0])[np.arange(18) % 4, None]
+    return a.reshape(9, 2, 2)[::-1].copy()
 
 
-# 18 terms: at |x| >= 30 the last one is below 4e-18 of the leading term
 _HANKEL = _hankel_coefficients()
 
 
@@ -416,7 +416,7 @@ def _hankel_rows(tops, x, cols, out) -> None:
     x = x[cols]
     w = 1.0 / (x * x)
     pq = np.zeros((2, 2, x.size), dtype=x.dtype)
-    for coef in np.moveaxis(_HANKEL, 1, 0):  # Horner in 1/x^2
+    for coef in _HANKEL:  # Horner in 1/x^2
         pq *= w
         pq += coef[..., None]
     (p0, p1), (q0, q1) = pq
