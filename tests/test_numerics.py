@@ -96,7 +96,7 @@ class TestQuad:
                                  8.0) == pytest.approx(math.sqrt(math.pi),
                                                        abs=1e-10)
 
-    def test_contour_panels_use_the_16_node_rule(self):
+    def test_contour_panels_share_the_nodes(self):
         # the first panel of every ray is [0, 0.5]
         x, w = num._leggauss(16)
         r, wr = num._ray_layout(240.0)

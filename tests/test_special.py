@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ive, jv
 
+from test_kernel_reference import _miller_points
 from zetacan import special as sp
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -202,8 +203,6 @@ class TestKernel:
         # others take Hankel's expansion, checked in TestHankelRegime)
         from pathlib import Path
 
-        from test_kernel_reference import _miller_points
-
         with np.load(Path(__file__).parent / "golden" / "complex_j.npz") as d:
             cases = sorted(k[2:] for k in d.files if k.startswith("z_"))
             assert cases
@@ -255,8 +254,10 @@ class TestHankelRegime:
         tops = np.concatenate([np.arange(16), np.arange(15, 61), np.arange(15, 61)])
         r = np.maximum(30.0, 2.0 * tops)
         im = np.where(np.arange(tops.size) >= 62, np.minimum(16.0, 0.9 * r), 0.0)
-        x = np.sqrt(r * r - im * im) + 1j * im
+        re = np.sqrt(r * r - im * im)
+        x = np.where(np.abs(re + 1j * im) < r, np.nextafter(re, np.inf), re) + 1j * im
         assert np.allclose(np.abs(x), r, rtol=1e-15, atol=0.0)
+        assert not _miller_points(tops, x).any()
         self._assert_against_scipy(tops, x)
 
     def test_agrees_with_miller_on_overlap_band(self):
