@@ -41,8 +41,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
+from . import np
 from .numerics import BracketError, newton_brackets
 from .special import _j_signed, _log, bessel_i_log, bessel_j_orders
 

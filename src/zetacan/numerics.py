@@ -4,7 +4,7 @@ The zero tables and cross-product zeros are polished by
 ``newton_brackets``: safeguarded Newton steps on f and f' from the Bessel
 kernel, clamped to each bracket with a bisection fallback, for all brackets
 in lockstep.  ``adaptive_quad`` is Gauss-Legendre on a finite interval,
-its node count doubled until two rules agree.  ``brent_root`` wraps
+its node count doubled until two rules agree, in plain floats.  ``brent_root`` wraps
 scipy's Brent method and is the one part that needs scipy.  The rest:
 
 * least-squares extraction of the large-argument profile
@@ -32,8 +32,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import np
 from .special import hurwitz_zeta
 
 __all__ = [
@@ -124,24 +123,52 @@ def newton_brackets(fdf, lo, hi, rising, tol: float = 0.0) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _leggauss(n: int):
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], shared read-only."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], ascending, as
+    tuples of floats.
+
+    Each positive node is Newton's root of P_n from Tricomi's estimate
+    (1 - (n - 1)/(8 n^3)) cos(pi (4 i + 3)/(4 n + 2)), with P_n and P_n' from
+    the three-term recurrence, and its weight is 2/((1 - x^2) P_n'(x)^2) at
+    the root; the negative half mirrors the positive one, and the weights
+    are scaled to sum to 2.
+    """
+    steps = [((2 * k + 1) / (k + 1), k / (k + 1)) for k in range(1, n)]
+
+    def dp_and_step(x):  # P_n'(x) and the Newton step P_n(x)/P_n'(x)
+        p0, p1 = 1.0, x
+        for a, b in steps:
+            p0, p1 = p1, a * x * p1 - b * p0
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        return dp, p1 / dp
+
+    c = 1.0 - (n - 1.0) / (8.0 * n ** 3)
+    nodes = [c * math.cos(math.pi * (4 * i + 3) / (4 * n + 2)) for i in range(n // 2)]
+    for i, x in enumerate(nodes):
+        for _ in range(20):
+            dx = dp_and_step(x)[1]
+            x -= dx
+            if abs(dx) <= 1e-15:
+                break
+        nodes[i] = x
+    x = [0.0] * (n % 2) + nodes[::-1]  # the nonnegative half, ascending
+    w = [2.0 / ((1.0 - v * v) * dp_and_step(v)[0] ** 2) for v in x]
+    w = w[n % 2:][::-1] + w
+    scale = 2.0 / math.fsum(w)
+    return tuple([-v for v in nodes] + x), tuple(v * scale for v in w)
 
 
 def adaptive_quad(f, a: float, b: float) -> float:
-    """Integral of a vectorized f over the finite interval [a, b].
+    """Integral of f over the finite interval [a, b]; f takes one float.
 
-    Gauss-Legendre rules with 16, 32, ... nodes until two successive ones
-    agree to 1e-13 max(1, |I|); QuadratureError when 1024 nodes are not
-    enough.
+    Gauss-Legendre rules with 16, 32, ... nodes, each summed with
+    ``math.fsum``, until two successive ones agree to 1e-13 max(1, |I|);
+    QuadratureError when 1024 nodes are not enough.
     """
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     prev = math.nan
     for n in (16, 32, 64, 128, 256, 512, 1024):
         x, w = _leggauss(n)
-        val = half * float(np.sum(w * f(mid + half * x)))
+        val = half * math.fsum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
         diff = abs(val - prev)
         if diff <= 1e-13 * max(1.0, abs(val)):
             return val
@@ -278,7 +305,7 @@ def _ray_layout(radius: float):
         edges.append(r)
         step = min(step * 1.22, 4.0)
     rs, ws = [], []
-    x, w = _leggauss(16)
+    x, w = map(np.array, _leggauss(16))
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
         rs.append(mid + half * x)

@@ -30,7 +30,7 @@ import functools
 import math
 from fractions import Fraction
 
-import numpy as np
+from . import np
 
 __all__ = [
     "EULER_GAMMA",
@@ -379,6 +379,7 @@ def _miller_rows(tops, x, top) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def _hankel_coefficients() -> np.ndarray:
     # (-1)^j a_{2j}(nu) and (-1)^j a_{2j+1}(nu) of DLMF 10.17.1 for nu = 0, 1
     # and j = 8 .. 0, shape (9, 2 [P, Q], 2 [nu]): Horner's order in 1/x^2.
@@ -387,10 +388,9 @@ def _hankel_coefficients() -> np.ndarray:
     for k in range(1, 18):
         a[k] = a[k - 1] * (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
     a *= np.array([1.0, 1.0, -1.0, -1.0])[np.arange(18) % 4, None]
-    return a.reshape(9, 2, 2)[::-1].copy()
-
-
-_HANKEL = _hankel_coefficients()
+    a = a.reshape(9, 2, 2)[::-1].copy()
+    a.flags.writeable = False
+    return a
 
 
 def _hankel_rows(tops, x, cols, out) -> None:
@@ -416,7 +416,7 @@ def _hankel_rows(tops, x, cols, out) -> None:
     x = x[cols]
     w = 1.0 / (x * x)
     pq = np.zeros((2, 2, x.size), dtype=x.dtype)
-    for coef in _HANKEL:  # Horner in 1/x^2
+    for coef in _hankel_coefficients():  # Horner in 1/x^2
         pq *= w
         pq += coef[..., None]
     (p0, p1), (q0, q1) = pq
@@ -482,8 +482,11 @@ def bessel_j_complex_many(orders, z: np.ndarray) -> np.ndarray:
 # Modified Bessel I, log-scaled
 # ----------------------------------------------------------------------
 
-# libm's log point by point: numpy's own log can differ from it in the last bit
-_log = np.vectorize(math.log, otypes=[float])
+def _log(x) -> np.ndarray:
+    """libm's log point by point, in x's shape: numpy's own log can differ
+    from it in the last bit."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.log(v) for v in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _series_i_log(n: np.ndarray, x: np.ndarray) -> np.ndarray:

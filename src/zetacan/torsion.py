@@ -42,8 +42,6 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .numerics import adaptive_quad
 from .special import log_gamma, riemann_zeta_prime
 
@@ -63,21 +61,21 @@ __all__ = [
 ]
 
 
-def metric_log_ratio(r):
+def metric_log_ratio(r: float) -> float:
     """u(r) = -log(h_FS / h_can) per O(1) = log((1+r^2)/max(1, r^2)) >= 0."""
-    return np.log1p(r * r) - np.log(np.maximum(1.0, r * r))
+    return math.log1p(r * r) - math.log(max(1.0, r * r))
 
 
 def base_integral_circle() -> float:
     """(1/2 pi) int_0^{2 pi} u(e^{i theta}) d theta; equals log 2."""
-    u = lambda theta: metric_log_ratio(np.ones_like(theta)) / (2.0 * math.pi)
-    return adaptive_quad(u, 0.0, 2.0 * math.pi)
+    return adaptive_quad(lambda theta: metric_log_ratio(1.0) / (2.0 * math.pi),
+                         0.0, 2.0 * math.pi)
 
 
 def base_integral_fs() -> float:
     """int_0^inf log((1+w)/max(1,w)) dw/(1+w)^2 = 1 - log 2; w = 1/t maps
     its piece on [1, inf) onto its piece on [0, 1]."""
-    return 2.0 * adaptive_quad(lambda t: np.log1p(t) / (1.0 + t) ** 2, 0.0, 1.0)
+    return 2.0 * adaptive_quad(lambda t: math.log1p(t) / (1.0 + t) ** 2, 0.0, 1.0)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import besselx, torsion, zetareg
+from . import besselx, np, torsion, zetareg
 from .numerics import (ContourSpec, adaptive_quad, mellin_contour_zeta,
                        mellin_zeta_critical_values, AsymptoticProfile,
                        fit_asymptotic_profile, zero_tail_sum)

@@ -33,9 +33,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import besselx
+from . import besselx, np
 from .besselx import (cross_G_norm_log, representative, small_z_coefficient,
                       small_z_exponent)
 from .numerics import (AsymptoticProfile, ContourSpec, FitError, _scaled_lstsq,

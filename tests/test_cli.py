@@ -191,6 +191,22 @@ class TestImports:
         assert proc.returncode == 0
         assert proc.stderr == "[]"
 
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["torsion", "--m", "6"],
+        ["zeta", "--m", "3"],
+    ])
+    def test_command_does_not_load_numpy(self, argv):
+        # numpy is registered lazily by the package: importing every module
+        # and running a command that needs no array must not load it
+        code = ("import sys; from zetacan.cli import main; rc = main(sys.argv[1:]); "
+                "sys.stderr.write(repr(('zetacan.verify' in sys.modules, "
+                "'numpy._core' in sys.modules))); sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == "(True, False)"
+
 
 class TestSerialization:
     def test_float_17_digits(self):

@@ -98,9 +98,27 @@ class TestQuad:
 
     def test_contour_panels_share_the_nodes(self):
         # the first panel of every ray is [0, 0.5]
-        x, w = num._leggauss(16)
+        x, w = map(np.array, num._leggauss(16))
         r, wr = num._ray_layout(240.0)
         assert np.array_equal(r[:16], 0.25 + 0.25 * x) and np.array_equal(wr[:16], 0.25 * w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 32, 64, 100, 128, 256, 512, 1000, 1024])
+    def test_leggauss_matches_numpy(self, n):
+        x, w = num._leggauss(n)
+        xn, wn = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.diff(x) > 0.0) and x == tuple(-v for v in reversed(x))
+        assert np.max(np.abs(np.array(x) - xn)) <= 2.5e-16
+        # numpy's weights carry up to ~1e-9 relative error at the ends for n
+        # near 1000 (see the exactness test): compare absolute values
+        assert np.max(np.abs(np.array(w) - wn)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024])
+    def test_leggauss_exact_on_monomials(self, n):
+        # int_0^1 (d + 1) r^d dr = 1 for every degree d <= 2 n - 1
+        x, w = num._leggauss(n)
+        worst = max(abs(math.fsum(0.5 * wi * (0.5 + 0.5 * xi) ** d for xi, wi in zip(x, w))
+                        * (d + 1) - 1.0) for d in range(0, 2 * n, max(1, n // 16)))
+        assert worst <= 1e-13
 
     def test_unresolved_integrand_raises(self):
         # a jump inside the interval: successive rules differ by O(1/n)

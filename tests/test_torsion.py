@@ -114,6 +114,12 @@ class TestTorsion:
         assert abs(rep.discrepancy) <= 1e-10
         assert abs(rep.Tg_quadrature - rep.Tg) <= 1e-8
 
+    def test_quadrature_within_1e10_through_m300(self):
+        # m + 1 logs of Gram entries, each an fsum of one Gauss-Legendre rule
+        worst = max(abs(rep.Tg_quadrature - rep.Tg)
+                    for rep in map(tor.torsion_g, [*range(0, 300, 23), 298, 300]))
+        assert worst <= 1e-10
+
     @pytest.mark.parametrize("m", [59, 64, 128, 200])
     def test_cli_full_range(self, m, capsys):
         # the Gram integrals on [0, 1] are polynomials: no overflow at any m,

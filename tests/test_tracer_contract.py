@@ -7,6 +7,8 @@ them would break only the traced benchmark run, so this test pins the names.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,21 @@ def test_traced_names_exist(mod):
 
 def test_traced_suites_are_the_verify_suites():
     assert tracer.SUITES == tuple(verify.SUITES)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--m", "17", "--n-max", "4", "--k-max", "10", "--format", "csv"],
+    ["zeta", "--m", "10", "--check-routes", "profile,contour"],
+    ["torsion", "--m", "6"],
+    ["verify", "--suite", "all"],
+], ids=["spectrum_cold", "reports-zeta", "reports-torsion", "verify_all"])
+def test_traced_stdout_is_untraced_stdout(argv, tmp_path):
+    # one command of each benchmark workload, traced and untraced, each in a
+    # fresh process: tracing may add spans, never change what is printed
+    traced = subprocess.run([sys.executable, str(TRACER_PATH), str(tmp_path / "s.npz"),
+                             *argv], capture_output=True)
+    plain = subprocess.run([sys.executable, "-m", "zetacan.cli", *argv],
+                           capture_output=True)
+    assert traced.returncode == plain.returncode == 0
+    assert traced.stdout == plain.stdout and plain.stdout
+    assert (tmp_path / "s.npz").exists()
