@@ -225,7 +225,10 @@ _BATCH_POINTS = 1 << 18
 def _contour_samples(m: int, orders) -> list:
     """[(contour, raw log p_nu at its ray nodes)] for each order of ``orders``,
     sampled once per process and shared read-only by every s and both
-    contour functions.  A wedge's vertex is half the order's first zero.
+    contour functions.  A wedge's vertex is half the order's first zero, and
+    its truncation radius 25 (m + 1), clipped to [240, 720], is the same for
+    all orders of one m: the ray-side asymptotics that close the integral
+    settle later as m grows, and rows stay finite to |z| ~ 940.
 
     The orders not yet cached are sampled together: one ``zero_sequences``
     call gives every vertex, and every contour has the same ray nodes up to
@@ -235,7 +238,8 @@ def _contour_samples(m: int, orders) -> list:
     nus = [representative(nu, m) for nu in orders]
     new = sorted(nu for nu in set(nus) if (nu, m) not in _CONTOUR_SAMPLES)
     if new:
-        contours = [ContourSpec(c=0.5 * float(seq.zeros[0]), truncation_radius=240.0)
+        radius = float(min(max(25 * (m + 1), 240), 720))
+        contours = [ContourSpec(c=0.5 * float(seq.zeros[0]), truncation_radius=radius)
                     for seq in besselx.zero_sequences([(nu, m) for nu in new], 1)]
         z = np.array([contour.ray_nodes()[0] for contour in contours])
         i = 0
