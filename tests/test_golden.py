@@ -33,6 +33,14 @@ The M = 0, 1, 6 and 24 contour CSV files and ``spectrum_m30`` were
 re-captured again when large arguments of the J kernel moved to Hankel's
 expansion: zeta'(0) moved by at most 2.5e-13 (M = 6), and one lambda of
 ``spectrum_m30`` moved by 1 ulp, onto the correctly rounded zero.
+The M = 24 and 64 contour CSV files and 145 of the 195 ``reports.json``
+entries were re-captured when Gauss-Legendre rules came to be computed in
+plain floats and the contour's truncation radius came to grow with M
+(25 (M + 1), clipped to [240, 720]): every torsion entry whose
+``Tg_quadrature`` moved (now within 1.6e-13 of the closed value through
+M = 64), and every contour value from M = 9 on, now within 1e-6 of the
+closed value through M = 30 and 7.5e-6 at M = 64 (2.1e-3 before).  The
+contour entries for M <= 8 moved by at most 2.3e-13.
 ``golden/verify_all.txt`` holds the 85 verdicts and check names of ``verify
 --suite all``; the ``err=`` details are left out, since they may move in the
 last digits when an implementation is merged or reordered.
