@@ -3,9 +3,9 @@ r"""Generic numerical engines.
 The zero tables and cross-product zeros are polished by
 ``newton_brackets``: safeguarded Newton steps on f and f' from the Bessel
 kernel, clamped to each bracket with a bisection fallback, for all brackets
-in lockstep.  ``adaptive_quad`` is Gauss-Legendre on a finite interval,
-its node count doubled until two rules agree, in plain floats.  ``brent_root`` wraps
-scipy's Brent method and is the one part that needs scipy.  The rest:
+in lockstep.  ``adaptive_quad`` is Gauss-Legendre on a finite interval in
+plain floats, its node count doubled until two rules agree.  ``brent_root``
+wraps scipy's Brent method and is the one part that needs scipy.  The rest:
 
 * least-squares extraction of the large-argument profile
   ``d z + a log z^2 + b + c1/z + ...`` of a log-product along a real ray,
