@@ -57,6 +57,7 @@ __all__ = [
     "cross_G_norm_log",
     "small_z_exponent",
     "small_z_coefficient",
+    "small_z_log_coefficient",
     "representative",
     "zero_sequences",
     "zeros",
@@ -264,15 +265,20 @@ def small_z_coefficient(n: int, m: int) -> Fraction:
     return num / (2 ** (m + 1) * math.factorial(n + 1) * math.factorial(m + 1 - n))
 
 
+def small_z_log_coefficient(n: int, m: int) -> float:
+    """log l, taken as log(numerator) - log(denominator) of the exact l:
+    l itself underflows a float from about m = 170 on."""
+    l = small_z_coefficient(n, m)
+    return math.log(l.numerator) - math.log(l.denominator)
+
+
 def cross_G_norm_log(n: int, m: int, x):
     """log of G_n(x) / (l x^e): the normalized product prod (1 + x^2/lambda_k^2).
 
     Minus this function has the asymptotic profile whose (a, b) encode
     zeta(0) and zeta'(0) of the zero sequence.
     """
-    e = small_z_exponent(n, m)
-    l = small_z_coefficient(n, m)
-    return cross_G_log(n, m, x) - math.log(float(l)) - e * _log(x)
+    return cross_G_log(n, m, x) - small_z_log_coefficient(n, m) - small_z_exponent(n, m) * _log(x)
 
 
 # ----------------------------------------------------------------------

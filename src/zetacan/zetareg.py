@@ -19,10 +19,10 @@ z_m(0) and z_m'(0).  Every constant here is implemented twice: a closed
 expression and a numeric route (profile fits, contour integrals, direct
 summation with tail completion) used for cross-validation.
 
-The contour route samples log p of each order on its wedge once per
-process.  The orders one caller needs for one m are sampled together: one
-zero solve gives every vertex, and the rows of one complex kernel pass give
-the samples, since every contour has the same ray nodes up to its vertex.
+The contour route samples log p of each order once per process, on one
+wedge per twist degree m: every order of m shares its vertex, so one
+complex kernel pass over its ray nodes gives the rows of all orders, and
+their tail fits are one least-squares solve.
 
 Values at 0 are kept in exact rational arithmetic where they are rational.
 """
@@ -34,8 +34,8 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import besselx, np
-from .besselx import (cross_G_norm_log, representative, small_z_coefficient,
-                      small_z_exponent)
+from .besselx import (cross_G_norm_log, representative, small_z_exponent,
+                      small_z_log_coefficient)
 from .numerics import (AsymptoticProfile, ContourSpec, FitError, _scaled_lstsq,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
@@ -166,17 +166,22 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
 def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
     """Numerical profile of the same function: d, a and c1 pinned from
     ``analytic_profile``, b fitted from log-scaled evaluations of the cross
-    product at 160 points of the ray window [80, 800].
+    product at 160 points of the ray window [s, 10 s],
+    s = max(80, 1.2 (max(nu, m) + 1)^2).
 
     The pinned terms d z + a log z^2 + c1/z are subtracted, and b is fitted
     together with the z^-2 .. z^-6 terms, on column-scaled basis vectors.
-    The Hankel terms of the product grow like (nu^2/z)^k, so as m grows the
-    dropped z^-7 term reaches the residual certification (1e-8), and the
-    fit stops certifying from m = 25.
+    The Hankel terms of the product grow like (nu^2/z)^k, so the window
+    starts where they are small, beyond the squares of the four I orders:
+    every point then takes ``bessel_i_log``'s large-argument branch.  The
+    cost is rounding: the fitted values carry 2z, so the error of b grows
+    like eps s, and the route's z_m'(0), a sum over the orders, is 6.5e-10
+    off the closed value at m = 61 (``_PROFILE_M_MAX``).
     """
     nu = representative(nu, m)
     pinned = analytic_profile(nu, m)
-    z = np.geomspace(80.0, 800.0, 160)
+    start = max(80.0, 1.2 * (max(nu, m) + 1) ** 2)
+    z = np.geomspace(start, 10.0 * start, 160)
     rest = -cross_G_norm_log(nu, m, z) - (pinned.d * z + pinned.a * np.log(z * z)
                                           + pinned.c1 / z)
     basis = np.stack([np.ones_like(z)] + [z ** -float(p) for p in range(2, 7)], axis=1)
@@ -190,8 +195,8 @@ def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
 # ----------------------------------------------------------------------
 
 def _logp_rows(m: int, nus, z: np.ndarray) -> np.ndarray:
-    """log p_nu at the points z[i] of the upper contour ray, for each canonical
-    order nu = nus[i], from one complex kernel pass over all rows.
+    """log p_nu at the nodes z (1-d) of m's contour ray, one row per canonical
+    order nu of ``nus``, from one complex kernel pass.
 
     p_nu(z) = L_nu(z) / (l_L z^e) is the normalized cross product (its own
     Hadamard factorization over the real zeros), so contour values come
@@ -200,60 +205,57 @@ def _logp_rows(m: int, nus, z: np.ndarray) -> np.ndarray:
     coefficient l_G > 0 by a sign sigma: -1 on the orders nu >= m+1 and
     (-1)^(nu+m) on the low orders, which the evaluator must carry so that
     p is positive at the contour vertex (the branch anchor).  Row i reads
-    J at orders nu, |nu-m-1|, nu+1 and |nu-m|, and its recurrence starts
-    from its own top order nu + 1.
+    J at orders nu, |nu-m-1|, nu+1 and |nu-m| from the one table J_0 ..
+    J_{m+15} at every node: m + 15 is the highest order that the orders of
+    ``_sum_orders(m)`` read, so a row never depends on the orders sampled
+    with it.
     """
-    nu = np.array(nus)
-    raw = np.stack([nu, nu - m - 1, nu + 1, nu - m])  # (4, rows)
-    j = bessel_j_complex_many(np.abs(raw.T), z)
-    a, b, c, d = _j_signed(j, raw[:, :, None], np.arange(len(nus))[:, None],
-                           np.arange(z.shape[1]))
+    nu = np.array(nus)[:, None]
+    j = bessel_j_complex_many((max(_sum_orders(m)) + 1,), z)
+    a, b, c, d = _j_signed(j, np.stack([nu, nu - m - 1, nu + 1, nu - m]), np.arange(z.size))
     L = -a * b + c * d
     sigma = np.array([-1.0 if n >= m + 1 else (-1.0) ** (n + m) for n in nus])[:, None]
     e = np.array([small_z_exponent(n, m) for n in nus])[:, None]
-    log_l = np.array([math.log(float(small_z_coefficient(n, m))) for n in nus])[:, None]
+    log_l = np.array([small_z_log_coefficient(n, m) for n in nus])[:, None]
     return np.log(sigma * L) - log_l - e * np.log(z)
 
 
-# (nu, m) -> (contour, raw log p_nu at its ray nodes, read-only), nu canonical
-_CONTOUR_SAMPLES: dict = {}
-# complex kernel points per pass, (top + 1) x rows x nodes: a cap on the
-# J table of one batch (4 MB), so large m runs in several passes
-_BATCH_POINTS = 1 << 18
+def _contour(m: int) -> ContourSpec:
+    """The wedge contour of every order of twist degree m.
 
-
-def _contour_samples(m: int, orders) -> list:
-    """[(contour, raw log p_nu at its ray nodes)] for each order of ``orders``,
-    sampled once per process and shared read-only by every s and both
-    contour functions.  A wedge's vertex is half the order's first zero, and
-    its truncation radius 25 (m + 1), clipped to [240, 720], is the same for
-    all orders of one m: the ray-side asymptotics that close the integral
-    settle later as m grows, and rows stay finite to |z| ~ 940.
-
-    The orders not yet cached are sampled together: one ``zero_sequences``
-    call gives every vertex, and every contour has the same ray nodes up to
-    its vertex, so rows of one (rows, nodes) array go through one complex
-    kernel pass, as many rows at a time as the J table cap allows.
+    Its vertex is half the first zero of L_{m+1}: the first zeros of the
+    canonical orders fall from nu = m/2 to their least at nu = m + 1 and
+    rise again above it, so the vertex lies below every order's first zero.
+    The truncation radius 25 (m + 1), clipped to [240, 720], grows with m
+    because the ray-side asymptotics that close the integral settle later;
+    rows stay finite to |z| ~ 940.
     """
+    seq, = besselx.zero_sequences([(m + 1, m)], 1)
+    return ContourSpec(c=0.5 * float(seq.zeros[0]),
+                       truncation_radius=float(min(max(25 * (m + 1), 240), 720)))
+
+
+# (nu, m) -> raw log p_nu at the ray nodes of _contour(m), read-only; nu canonical
+_CONTOUR_SAMPLES: dict = {}
+
+
+def _contour_samples(m: int, orders):
+    """(contour, samples): m's contour, and the raw log p_nu at its ray nodes
+    for each order of ``orders``, one row per order.
+
+    Every order of one m shares the contour, so the orders not yet cached
+    are sampled together by one ``_logp_rows`` pass over its nodes.  Each
+    row is kept once per process, read-only, for every s and both contour
+    functions; ``samples`` is a fresh (orders, nodes) array.
+    """
+    contour = _contour(m)
     nus = [representative(nu, m) for nu in orders]
     new = sorted(nu for nu in set(nus) if (nu, m) not in _CONTOUR_SAMPLES)
     if new:
-        radius = float(min(max(25 * (m + 1), 240), 720))
-        contours = [ContourSpec(c=0.5 * float(seq.zeros[0]), truncation_radius=radius)
-                    for seq in besselx.zero_sequences([(nu, m) for nu in new], 1)]
-        z = np.array([contour.ray_nodes()[0] for contour in contours])
-        i = 0
-        while i < len(new):
-            # rows i..j-1, whose top order is new[j-1] + 1, within the cap
-            j = i + 1
-            while j < len(new) and (new[j] + 2) * (j + 1 - i) * z.shape[1] <= _BATCH_POINTS:
-                j += 1
-            vals = _logp_rows(m, new[i:j], z[i:j])
-            vals.flags.writeable = False
-            for nu, contour, row in zip(new[i:j], contours[i:j], vals):
-                _CONTOUR_SAMPLES[(nu, m)] = (contour, row)
-            i = j
-    return [_CONTOUR_SAMPLES[(nu, m)] for nu in nus]
+        vals = _logp_rows(m, new, contour.ray_nodes()[0])
+        vals.flags.writeable = False
+        _CONTOUR_SAMPLES.update(((nu, m), row) for nu, row in zip(new, vals))
+    return contour, np.stack([_CONTOUR_SAMPLES[(nu, m)] for nu in nus])
 
 
 # ----------------------------------------------------------------------
@@ -384,18 +386,29 @@ def zeta_tail_block(m: int):
     return value0, value0_prime
 
 
+# the profile route's certified range: the rounding of its fitted values
+# grows like eps (m + 1)^2 per order, so the error of z_m'(0), a sum over
+# m + 1 orders, grows like eps m^3.  |profile - closed| is at most 1.8e-9
+# for m <= 120 and first passes 1e-8 at m = 189.
+_PROFILE_M_MAX = 120
+
+
 def low_order_values(m: int, route: str = "closed"):
     """[(nu, weight, zeta_nu(0), zeta_nu'(0))] over the low orders, each value
     as ``route`` computed it: from the analytic ("closed") or fitted
     ("profile") profile, order by order in ascending nu, or from contour
-    samples of every order taken in one call ("contour")."""
+    samples of every order on m's one contour, integrated together
+    ("contour")."""
     if route not in ("closed", "profile", "contour"):
         raise ValueError(f"unknown route {route!r}")
+    if route == "profile" and m > _PROFILE_M_MAX:
+        raise FitError(f"profile route certified only for m <= {_PROFILE_M_MAX}")
     orders = besselx.canonical_orders(m, m // 2 + 1)
     if route == "contour":
-        samples = _contour_samples(m, [nu for nu, _ in orders])
-        return [(nu, weight, *mellin_zeta_critical_values(vals, contour, analytic_profile(nu, m)))
-                for (nu, weight), (contour, vals) in zip(orders, samples)]
+        contour, vals = _contour_samples(m, [nu for nu, _ in orders])
+        values = mellin_zeta_critical_values(vals, contour,
+                                             [analytic_profile(nu, m) for nu, _ in orders])
+        return [(nu, weight, *v) for (nu, weight), v in zip(orders, values)]
     profile = fitted_profile if route == "profile" else analytic_profile
     return [(nu, weight, *zeta_from_profile(profile(nu, m))) for nu, weight in orders]
 
@@ -618,6 +631,9 @@ def spectral_zeta_contour(m: int, s: float) -> float:
     """Same object with every per-order value from the contour integral."""
     if s <= 1.0:
         raise ValueError("needs s > 1")
-    return _spectral_sum(m, s, lambda orders: [
-        mellin_contour_zeta(vals, contour, s)
-        for contour, vals in _contour_samples(m, orders)])
+
+    def order_zetas(orders):
+        contour, vals = _contour_samples(m, orders)
+        return mellin_contour_zeta(vals, contour, s)
+
+    return _spectral_sum(m, s, order_zetas)

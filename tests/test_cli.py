@@ -152,10 +152,10 @@ class TestExitCodes:
     def test_non_finite_contour_exits_3(self, monkeypatch, capsys):
         from zetacan import zetareg
 
-        def nan_logp(m, nus, z):
-            return np.full(z.shape, np.nan + 0j)
+        def nan_kernel(orders, z):
+            return np.full((max(orders) + 1, z.size), np.nan + 0j)
 
-        monkeypatch.setattr(zetareg, "_logp_rows", nan_logp)
+        monkeypatch.setattr(zetareg, "bessel_j_complex_many", nan_kernel)
         zetareg._CONTOUR_SAMPLES.clear()
         try:
             code = cli.main(["zeta", "--m", "1", "--route", "contour"])

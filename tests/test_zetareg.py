@@ -49,19 +49,20 @@ class TestSequenceValues:
     @pytest.mark.parametrize("nu,m", [(2, 1), (1, 2)])
     def test_contour_matches_closed(self, nu, m):
         z0c, z0pc = zr.zeta_from_profile(zr.analytic_profile(nu, m))
-        (contour, vals), = zr._contour_samples(m, [nu])
+        contour, (vals,) = zr._contour_samples(m, [nu])
         z0k, z0pk = zr.mellin_zeta_critical_values(vals, contour, zr.analytic_profile(nu, m))
         assert z0k == pytest.approx(z0c, abs=1e-12)
         assert z0pk == pytest.approx(z0pc, abs=1e-8)
 
 
 class TestProfileRange:
-    """The pinned profile fit: within 1e-8 of the closed value through m = 17,
-    certified through m = 24, FitError (exit 3) from m = 25.  The contour
-    route is within 1e-6 through m = 30, so both route tolerances hold
-    through m = 17."""
+    """The profile fit on the window [s, 10 s], s = max(80, 1.2 (max(nu, m) + 1)^2):
+    within 1e-8 of the closed value through m = 64 (and through its
+    certified edge, m = 120), FitError (exit 3) past that edge.  The contour
+    route is within 1e-6 through m = 34 (1.01e-6 at m = 35), so both route
+    tolerances hold through m = 34."""
 
-    @pytest.mark.parametrize("m", range(18))
+    @pytest.mark.parametrize("m", range(65))
     def test_profile_within_1e8_of_closed(self, m):
         report = zr.zeta_canonical(m, check_routes=("profile",))
         assert report.discrepancies["profile"] <= 1e-8
@@ -71,12 +72,29 @@ class TestProfileRange:
         report = zr.zeta_canonical(m, check_routes=("contour",))
         assert report.discrepancies["contour"] <= 1e-6
 
-    @pytest.mark.parametrize("m,code", [(24, 0), (25, 3)])
+    @pytest.mark.parametrize("m,code", [(zr._PROFILE_M_MAX, 0), (zr._PROFILE_M_MAX + 1, 3)])
     def test_certified_range_exit_codes(self, m, code, capsys):
         from zetacan import cli
 
         assert cli.main(["zeta", "--m", str(m), "--route", "profile"]) == code
         assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
+
+    def test_profile_edge_within_1e8_of_closed(self):
+        report = zr.zeta_canonical(zr._PROFILE_M_MAX, check_routes=("profile",))
+        assert report.discrepancies["profile"] <= 1e-8
+
+    def test_small_z_coefficient_log_past_float_range(self):
+        # l underflows a float at m = 200; its log comes from the exact integers
+        for nu, m in ((100, 200), (200, 200), (201, 200), (3, 4)):
+            e_l = zr.besselx.small_z_coefficient(nu, m)
+            if nu <= m:
+                want = (math.log(m + 2.0) - (m + 1) * LOG2 - math.lgamma(nu + 2.0)
+                        - math.lgamma(m - nu + 2.0))
+            else:
+                want = (-(2 * nu - m - 1) * LOG2 - math.lgamma(nu + 1.0)
+                        - math.lgamma(nu - m + 0.0))
+            assert zr.besselx.small_z_log_coefficient(nu, m) == pytest.approx(want, rel=1e-13)
+            assert (float(e_l) == 0.0) == (m == 200)
 
 
 class TestComponents:
@@ -340,25 +358,46 @@ class TestContourSampleCache:
         assert sum(calls) <= 20
 
     def test_cached_samples_are_read_only(self):
-        (contour, vals), = zr._contour_samples(1, [0])
-        assert not vals.flags.writeable
-        assert len(vals) == len(contour.ray_nodes()[0])
+        contour, vals = zr._contour_samples(1, [0])
+        row = zr._CONTOUR_SAMPLES[(1, 1)]  # order 0 of m = 1 is represented by 1
+        assert not row.flags.writeable
+        assert vals.shape == (1, len(contour.ray_nodes()[0]))
+        assert np.array_equal(vals[0], row)
         with pytest.raises(ValueError):
-            vals[0] = 0.0
+            row[0] = 0.0
 
     @pytest.mark.parametrize("m", [1, 4])
-    def test_batches_equal_one_order_samples(self, m, monkeypatch):
-        # one batch, batches cut to three rows, and one order at a time all
-        # give the same contours and samples, bit for bit
+    def test_batches_equal_one_order_samples(self, m):
+        # one batch and one order at a time give the same contour and
+        # samples, bit for bit
         orders = list(range(m // 2, m + 6))
-        runs = []
-        for cap in (zr._BATCH_POINTS, 3 * (m + 8) * 1072, 0):
-            monkeypatch.setattr(zr, "_BATCH_POINTS", cap)
-            zr._CONTOUR_SAMPLES.clear()
-            runs.append(zr._contour_samples(m, orders))
         zr._CONTOUR_SAMPLES.clear()
-        runs.append([zr._contour_samples(m, [nu])[0] for nu in orders])
+        contour, batch = zr._contour_samples(m, orders)
         zr._CONTOUR_SAMPLES.clear()
-        for run in runs[1:]:
-            for (c0, v0), (c1, v1) in zip(runs[0], run):
-                assert c0 == c1 and np.array_equal(v0, v1)
+        ones = [zr._contour_samples(m, [nu]) for nu in orders]
+        zr._CONTOUR_SAMPLES.clear()
+        for row, (c, (one,)) in zip(batch, ones):
+            assert c == contour and np.array_equal(row, one)
+
+    def test_one_kernel_pass_per_m(self, monkeypatch):
+        # every order of one m shares the contour, so the route's samples
+        # come from one complex kernel pass, and later s reuse them
+        calls = []
+        kernel = zr.bessel_j_complex_many
+        monkeypatch.setattr(zr, "bessel_j_complex_many",
+                            lambda orders, z: calls.append(z.shape) or kernel(orders, z))
+        monkeypatch.setattr(zr, "_CONTOUR_SAMPLES", {})
+        for m in (3, 10, 24):
+            zr.z_m_values(m, "contour")
+        assert len(calls) == 3 and all(len(shape) == 1 for shape in calls)
+        for s in (1.5, 2.0, 3.0):
+            zr.spectral_zeta_contour(1, s)
+        assert len(calls) == 4
+
+    def test_shared_vertex_below_every_first_zero(self):
+        # the first zeros fall from nu = m/2 to their least at nu = m + 1
+        for m in (0, 1, 10, 24, 64):
+            orders = zr._sum_orders(m)
+            first = [seq.zeros[0] for seq in zr.besselx.zero_sequences([(nu, m) for nu in orders], 1)]
+            assert min(first) == first[orders.index(m + 1)]
+            assert zr._contour(m).c == 0.5 * first[orders.index(m + 1)]
