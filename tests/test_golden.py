@@ -14,10 +14,10 @@ values came from one call.  The ``--check-routes`` entries for M in 0..24
 were re-captured when the profile fit pinned d, a and c1 to their closed
 values: the profile route moved to within 1.3e-7 of the closed value
 (within 6.9e-9 through M = 17), and M = 24 certifies.  The known failure
-(profile not certified from M = 25) must keep failing the same way, and
-every reported value must stay where it was.  ``torsion --m
-59`` overflowed until the torsion integrals moved onto [0, 1]; its entry
-holds the report it prints since.
+(profile not certified from M = 25) kept failing the same way until the
+re-capture below, and every reported value must stay where it was.
+``torsion --m 59`` overflowed until the torsion integrals moved onto
+[0, 1]; its entry holds the report it prints since.
 
 ``golden/spectrum_m{M}.{csv,json}`` hold the exact stdout of ``spectrum --m M
 --n-max 6 --k-max 8`` for M in {0, 1, 2, 17, 30}, compared byte for byte.
@@ -41,6 +41,14 @@ plain floats and the contour's truncation radius came to grow with M
 M = 64), and every contour value from M = 9 on, now within 1e-6 of the
 closed value through M = 30 and 7.5e-6 at M = 64 (2.1e-3 before).  The
 contour entries for M <= 8 moved by at most 2.3e-13.
+The M = 0, 1, 6, 24 and 64 contour CSV files and the ``zeta`` entries
+for M in 2..64 were re-captured when every order of one M came to share
+one contour vertex and the profile fit moved to the window [s, 10 s]: the
+contour value moved by at most 2.9e-7 (M = 64), staying within 0.96 to
+1.03 times its distance from the closed value; the profile value is within
+6.5e-10 of the closed value for every M <= 64; and the ``--check-routes``
+commands for M >= 25, which exited 3 with an uncertified profile, now
+exit 0.
 ``golden/verify_all.txt`` holds the 85 verdicts and check names of ``verify
 --suite all``; the ``err=`` details are left out, since they may move in the
 last digits when an implementation is merged or reordered.
