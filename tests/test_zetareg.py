@@ -56,13 +56,13 @@ class TestSequenceValues:
 
 
 class TestProfileRange:
-    """The profile fit on the window [s, 10 s], s = max(80, 1.2 (max(nu, m) + 1)^2):
-    within 1e-8 of the closed value through m = 64 (and through its
-    certified edge, m = 120), FitError (exit 3) past that edge.  The contour
+    """The profile fit on the window [s, 10 s], s = max(80, 1.2 (max(nu, m)
+    + 1)^2): within 1e-8 of the closed value through m = 64 and at its
+    certified edge, m = 120, FitError (exit 3) past that edge.  The contour
     route is within 1e-6 through m = 34 (1.01e-6 at m = 35), so both route
     tolerances hold through m = 34."""
 
-    @pytest.mark.parametrize("m", range(65))
+    @pytest.mark.parametrize("m", [*range(65), zr._PROFILE_M_MAX])
     def test_profile_within_1e8_of_closed(self, m):
         report = zr.zeta_canonical(m, check_routes=("profile",))
         assert report.discrepancies["profile"] <= 1e-8
@@ -79,14 +79,10 @@ class TestProfileRange:
         assert cli.main(["zeta", "--m", str(m), "--route", "profile"]) == code
         assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
 
-    def test_profile_edge_within_1e8_of_closed(self):
-        report = zr.zeta_canonical(zr._PROFILE_M_MAX, check_routes=("profile",))
-        assert report.discrepancies["profile"] <= 1e-8
-
     def test_small_z_coefficient_log_past_float_range(self):
         # l underflows a float at m = 200; its log comes from the exact integers
         for nu, m in ((100, 200), (200, 200), (201, 200), (3, 4)):
-            e_l = zr.besselx.small_z_coefficient(nu, m)
+            l = zr.besselx.small_z_coefficient(nu, m)
             if nu <= m:
                 want = (math.log(m + 2.0) - (m + 1) * LOG2 - math.lgamma(nu + 2.0)
                         - math.lgamma(m - nu + 2.0))
@@ -94,7 +90,7 @@ class TestProfileRange:
                 want = (-(2 * nu - m - 1) * LOG2 - math.lgamma(nu + 1.0)
                         - math.lgamma(nu - m + 0.0))
             assert zr.besselx.small_z_log_coefficient(nu, m) == pytest.approx(want, rel=1e-13)
-            assert (float(e_l) == 0.0) == (m == 200)
+            assert (float(l) == 0.0) == (m == 200)
 
 
 class TestComponents:
