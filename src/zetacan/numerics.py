@@ -204,8 +204,9 @@ def _scaled_lstsq(basis: np.ndarray, vals: np.ndarray) -> np.ndarray:
     to a largest magnitude of 1 for the solve, so that columns of very
     different size (z and z^-6) all keep their digits.  The solve is one QR
     factorization of the (full-rank) basis, applied to every right-hand
-    side at once: LAPACK's multi-right-hand-side SVD solve took 20-80 ms on
-    a 2-column basis and 33 right-hand sides once it ran threaded."""
+    side at once: LAPACK's multi-right-hand-side SVD solve took 30-80 ms
+    for a 2- or 5-column basis and 33 right-hand sides once OpenBLAS ran
+    threaded, against 0.1-0.3 ms for the QR solve."""
     scale = np.max(np.abs(basis), axis=0)
     q, r = np.linalg.qr(basis / scale)
     coef = np.linalg.solve(r, q.conj().T @ vals)
