@@ -10,16 +10,18 @@ positive zeros of the cross products
 with the symmetry L-zero sets Z_n = Z_{m-n} (the modified rotation
 G_n(z) = I_{n+1} I_{n-m} + I_n I_{n-m-1} satisfies G_n = G_{m-n}).  Zeros
 are simple, avoid the zeros of both J factors, and interlace the merged
-zero set of J_n and J_{n-m}: between consecutive cross-product zeros lies
-exactly one merged Bessel zero.  That interlacing supplies the root
-brackets used here: every gap is fine-scanned, so a missed sign change
-cannot silently drop a zero.  ``zero_sequences`` solves all the (n, m)
-pairs a caller asks for, across twist degrees, in one lockstep pass: one
-kernel pass probes every pair's gaps, one Newton solve on the analytic
-derivative of L_n polishes every bracket, and one pass takes the residuals;
-``zeros`` and ``spectrum`` are views of it.  Every solved sequence is kept
-for the process, keyed by its canonical (n, m) and K, with read-only
-arrays, so a batch solves only the pairs no earlier call solved at its K.
+zero set of J_n and J_{n-m}: each gap between consecutive merged Bessel
+zeros holds exactly one cross-product zero, and so does the gap below the
+first one when n >= m + 1.  Those gaps are the root brackets used here.
+``zero_sequences`` solves all the (n, m) pairs a caller asks for, across
+twist degrees, in one lockstep pass: one kernel pass takes the sign of L_n
+at every merged factor zero, one Newton solve on the analytic derivative
+of L_n polishes every bracket, and one pass takes the residuals; ``zeros``
+and ``spectrum`` are views of it.  Every solved sequence is kept for the
+process, keyed by its canonical (n, m) and K, with read-only arrays, so a
+batch solves only the pairs no earlier call solved at its K, and
+``solve_zero_sequences`` solves the (pairs, K) requests of a whole
+workload (``verify.run_suite``) as one such batch.
 Cross products take arrays of points, with n and m per point: L_n reads
 its J orders, negative ones too, from one kernel table, and log G_n its
 four I orders from one ``bessel_i_log`` call.
@@ -28,10 +30,6 @@ Bessel zeros themselves are generated internally, all orders of a table at
 once: sign changes of one kernel pass over a unit grid bracket them, one
 lockstep solve polishes them and the interlacing of neighbouring orders
 certifies them, so the module has no dependency on tabulated zeros.
-``size_zero_tables`` sizes the J and J' tables once for a list of
-(pairs, K) solves: ``zero_sequences`` calls it for its own batch, and a
-caller that knows its whole workload (``verify.run_suite``) calls it first,
-so that each table is built once.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ __all__ = [
     "SpectrumEntry",
     "Spectrum",
     "bessel_j_zeros",
-    "size_zero_tables",
     "cross_L",
     "cross_L_prime",
     "cross_G_log",
@@ -59,6 +56,7 @@ __all__ = [
     "small_z_coefficient",
     "small_z_log_coefficient",
     "representative",
+    "solve_zero_sequences",
     "zero_sequences",
     "zeros",
     "taylor_sum_rule_exact",
@@ -311,43 +309,25 @@ def _merged_factor_zeros(nu: int, m: int, count: int) -> np.ndarray:
                                    for kind, order in _factor_families(nu, m)]))
 
 
-def _sign_brackets(xs: np.ndarray, vals: np.ndarray):
-    """(row, lo, hi, f(lo) < 0) of every sign change along the probe rows.
-
-    A probe that lands on a zero (or where L underflowed near the origin)
-    counts only when its two neighbours have opposite signs, as lo == hi.
-    """
-    a, b = vals[:, :-1], vals[:, 1:]
-    on_zero = np.zeros(a.shape, dtype=bool)
-    on_zero[:, 1:] = (a[:, 1:] == 0.0) & (vals[:, :-2] * vals[:, 2:] < 0.0)
-    rows, cols = np.nonzero(on_zero | ((a != 0.0) & (a * b < 0.0)))
-    lo = xs[rows, cols]
-    hi = np.where(on_zero[rows, cols], lo, xs[rows, cols + 1])
-    return rows, lo, hi, a[rows, cols] < 0.0
-
-
-def size_zero_tables(requests) -> None:
-    """Size the J and J' zero tables once for the (pairs, K) ``requests``.
-
-    Each table grows to the largest order and count the requests read of
-    it: K zeros of both factor families of a factorized pair (m = 0, or
-    2 n = m), K + 2 of a generic pair's, whose scan reads the factor zeros
-    up to the gap above its K-th zero.  A table that already covers them is
-    not touched.
-    """
-    need = {}
-    for pairs, K in requests:
-        for n, m in pairs:
-            count = K if _factorized(n, m) else K + 2
-            for kind, order in _factor_families(n, m):
-                top, have = need.get(kind, (0, 0))
-                need[kind] = max(top, abs(order)), max(have, count)
-    for kind, (order, count) in need.items():
-        _zero_table(kind, order, count)
-
-
 # (n, m, K), n canonical -> SpectralSequence, arrays read-only
 _SEQUENCES: dict = {}
+
+
+def solve_zero_sequences(requests) -> list:
+    """``zero_sequences(pairs, K)`` for every (pairs, K) of ``requests``, with
+    every sequence that the memo lacks solved in one ``_solve_sequences``
+    batch.  A caller that knows its whole workload (``verify.run_suite``)
+    calls this first; its later ``zero_sequences`` calls read the memo."""
+    if any(K < 1 for _, K in requests):
+        raise ValueError("K must be >= 1")
+    keys = [[(representative(n, m), m, K) for n, m in pairs] for pairs, K in requests]
+    if any(m < 0 for row in keys for _, m, _ in row):
+        raise ValueError("twist degree m must be >= 0")
+    missing = [key for key in dict.fromkeys(k for row in keys for k in row)
+               if key not in _SEQUENCES]
+    if missing:
+        _solve_sequences(missing)
+    return [[_SEQUENCES[key] for key in row] for row in keys]
 
 
 def zero_sequences(pairs, K: int) -> list:
@@ -356,75 +336,97 @@ def zero_sequences(pairs, K: int) -> list:
     The factorized cases (m = 0, where L_n = -2 J_n J_n', and the middle
     order n = m/2 for even m, where L reduces to +-2 J_{m/2} J_{m/2+1})
     read their zeros off the Bessel zero tables.  Otherwise the merged zeros
-    of the two J factors bracket the roots: 33 probes scan the gap below the
-    smallest factor zero and 13 each following gap, and an empty gap raises
-    BracketError naming its order, so the count is certified.  A batch may
-    mix twist degrees: ``size_zero_tables`` sizes each zero table once for
-    it, one kernel pass probes all pairs, one lockstep Newton solve on the
-    analytic L_n' polishes all brackets and one pass takes the residuals.
-    A value depends only on its own (n, m) and K, so a batch equals one-pair
-    calls bit for bit, and every sequence is solved once per process: the
-    memo returns the same object for the same (n, m) and K, and the pairs
-    of one symmetry class {n, m - n} share the one solved for max(n, m - n).
+    d_1 < d_2 < ... of the two J factors bracket the roots, one per gap
+    (Dirichlet bracketing: a Dirichlet condition at |z| = 1 splits each
+    angular mode into two pieces whose Dirichlet eigenvalues are the d_k,
+    and min-max interlaces them with the zeros of L_n): (0, d_1) first when
+    n >= m + 1, where L_n has the sign of its small-z term
+    -(x/2)^{2n-m-1} / (n! (n-m-1)!) < 0, then (d_k, d_{k+1}).  A gap whose
+    ends have the same sign raises BracketError naming its order, so the
+    count is certified.  A value depends only on its own (n, m) and K, so a
+    batch equals one-pair calls bit for bit, and every sequence is solved
+    once per process: the memo returns the same object for the same (n, m)
+    and K, and the pairs of one symmetry class {n, m - n} share the one
+    solved for max(n, m - n).
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    keys = [(representative(n, m), m) for n, m in pairs]
-    if any(m < 0 for _, m in keys):
-        raise ValueError("twist degree m must be >= 0")
-    missing = [key for key in dict.fromkeys(keys) if key + (K,) not in _SEQUENCES]
-    if missing:
-        _solve_sequences(missing, K)
-    return [_SEQUENCES[(*key, K)] for key in keys]
+    return solve_zero_sequences([(pairs, K)])[0]
 
 
-def _solve_sequences(keys, K: int) -> None:
-    """Solve the canonical (n, m) ``keys`` at K in one batch, into the memo."""
-    size_zero_tables([(keys, K)])
-    generic = [key for key in keys if not _factorized(*key)]
-    lam = {key: _merged_factor_zeros(*key, K)[:K] for key in keys if key not in generic}
+def _segments(arrays):
+    """(the concatenated ``arrays``, the index of the array of each element)."""
+    return np.concatenate(arrays), np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])
+
+
+def _solve_sequences(keys) -> None:
+    """Solve the canonical (n, m, K) ``keys`` in one batch, into the memo.
+
+    Each zero table is sized once, to the largest order and count that the
+    batch reads of it: K + 1 zeros of each factor family.  One kernel pass
+    takes the sign of L at every generic pair's d_1 .. d_{K+1}, one
+    lockstep Newton solve on the analytic L_n' polishes every bracket, and
+    one pass takes |L_n| at the zeros and at the midpoints between them.
+    """
+    need = {}
+    for n, m, K in keys:
+        for kind, order in _factor_families(n, m):
+            top, have = need.get(kind, (0, 0))
+            need[kind] = max(top, abs(order)), max(have, K + 1)
+    for kind, (order, count) in need.items():
+        _zero_table(kind, order, count)
+    lam, generic, ends = {}, [], []
+    for n, m, K in keys:
+        d = _merged_factor_zeros(n, m, K + 1)[:K + 1]
+        if _factorized(n, m):
+            lam[n, m, K] = d[:K]
+        else:
+            generic.append((n, m, K))
+            ends.append(np.concatenate([[0.0], d]))
     if generic:
-        gn, gm = np.array(generic).T
-        grid = np.array([_merged_factor_zeros(nu, m, K + 2) for nu, m in generic])
-        first = np.linspace(0.05 * grid[:, 0], grid[:, 0] * (1 - 1e-12), 33, axis=1)
-        gaps = np.linspace(grid[:, :K] * (1 + 1e-13), grid[:, 1:K + 1] * (1 - 1e-13), 13,
-                           axis=2).reshape(-1, 13)
-        vals = cross_L(gn[:, None], gm[:, None],
-                       np.hstack([first, gaps.reshape(len(generic), -1)]))
-        rows_below, *below = _sign_brackets(first, vals[:, :33])
-        rows, *inside = _sign_brackets(gaps, vals[:, 33:].reshape(-1, 13))
-        # each pair takes its gaps in order until K zeros are bracketed
-        per_gap = np.bincount(rows, minlength=gaps.shape[0]).reshape(-1, K)
-        n_below = np.bincount(rows_below, minlength=len(generic))[:, None]
-        scanned = n_below + np.cumsum(per_gap, axis=1) - per_gap < K
-        empty = np.argwhere(scanned & (per_gap == 0))
-        if empty.size:
-            o, i = empty[0]
+        gn, gm, gk = np.array(generic).T
+        x, owner = _segments(ends)
+        # every end but the 0 in front of each pair's d_1 .. d_{K+1} takes the
+        # sign of L there; the 0 takes the sign of the small-z term, -1
+        sign = np.full(x.shape, -1.0)
+        at = x > 0.0
+        sign[at] = np.sign(cross_L(gn[owner[at]], gm[owner[at]], x[at]))
+        # the brackets of n >= m + 1 start at (0, d_1), the others at (d_1, d_2)
+        first = np.cumsum(gk + 2) - (gk + 2) + (gn <= gm)
+        lo = np.concatenate([np.arange(f, f + k) for f, k in zip(first, gk)])
+        bad = np.flatnonzero(sign[lo] * sign[lo + 1] >= 0.0)  # signs: no underflow
+        if bad.size:
+            i = lo[bad[0]]
             raise BracketError(
-                f"no sign change of L_{gn[o]} (m={gm[o]}) in factor-zero gap "
-                f"({grid[o, i]:.6f}, {grid[o, i + 1]:.6f})")
-        keep = scanned.ravel()[rows]
-        owner = np.concatenate([rows_below, rows[keep] // K])  # index into generic
-        lo, hi, rising = (np.concatenate([u, v[keep]]) for u, v in zip(below, inside))
-        root = lo.copy()  # a probe that landed on a zero is that zero
-        solve = np.flatnonzero(lo < hi)
-        on, om = gn[owner[solve]], gm[owner[solve]]
-        root[solve] = newton_brackets(lambda x, idx: _cross_L_pair(on[idx], om[idx], x),
-                                      lo[solve], hi[solve], rising[solve], tol=1e-12)
-        lam.update((key, np.sort(root[owner == i])[:K]) for i, key in enumerate(generic))
+                f"no sign change of L_{gn[owner[i]]} (m={gm[owner[i]]}) in factor-zero gap "
+                f"({x[i]:.6f}, {x[i + 1]:.6f})")
+        bn, bm = gn[owner[lo]], gm[owner[lo]]
+
+        def fdf(z, idx):  # zeros are simple: L = 0 with L' subnormal is an underflow
+            f, df = _cross_L_pair(bn[idx], bm[idx], z)
+            flat = (f == 0.0) & (np.abs(df) < np.finfo(float).tiny)
+            if flat.any():
+                i = np.argmax(flat)
+                raise BracketError(f"L_{bn[idx[i]]} (m={bm[idx[i]]}) underflows to 0 at "
+                                   f"x = {z[i]:.6f}")
+            return f, df
+
+        root = newton_brackets(fdf, x[lo], x[lo + 1], sign[lo] < 0.0, tol=1e-12)
+        lam.update(zip(generic, np.split(root, np.cumsum(gk)[:-1])))
 
     # residuals at the zeros and local scales at the midpoints, one pass
-    z = np.array([lam[key] for key in keys])
-    step = z[:, -1:] - z[:, -2:-1] if K > 1 else 1.0
-    ext = np.hstack([z[:, :1] * 0.5, z, z[:, -1:] + step])
-    mids = 0.5 * (ext[:, :-1] + ext[:, 1:])
-    kn, km = np.array(keys).T
-    at = np.abs(cross_L(kn[:, None], km[:, None], np.hstack([z, mids])))
-    scales = np.maximum(at[:, K:-1], at[:, K + 1:])
-    for a in (z, at, scales):
-        a.flags.writeable = False
-    for i, key in enumerate(keys):
-        _SEQUENCES[(*key, K)] = SpectralSequence(*key, z[i], at[i, :K], scales[i])
+    pts = []
+    for n, m, K in keys:
+        z = lam[n, m, K]
+        step = z[-1] - z[-2] if K > 1 else 1.0
+        ext = np.concatenate([z[:1] * 0.5, z, z[-1:] + step])
+        pts.append(np.concatenate([z, 0.5 * (ext[:-1] + ext[1:])]))
+    x, owner = _segments(pts)
+    kn, km, kk = np.array(keys).T
+    at = np.split(np.abs(cross_L(kn[owner], km[owner], x)), np.cumsum(2 * kk + 1)[:-1])
+    for (n, m, K), a in zip(keys, at):
+        seq = SpectralSequence(n, m, lam[n, m, K], a[:K], np.maximum(a[K:-1], a[K + 1:]))
+        for arr in (seq.zeros, seq.residuals, seq.local_scales):
+            arr.flags.writeable = False
+        _SEQUENCES[n, m, K] = seq
 
 
 def zeros(n: int, m: int, K: int) -> SpectralSequence:

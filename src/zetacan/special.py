@@ -73,6 +73,11 @@ _BERNOULLI = {
 # hurwitz_zeta, hurwitz_zeta_prime and _digamma
 _EM_TERMS = 36
 _EM_CORRECTIONS = 12
+# B_2j / (2j)! and B_2j / (2j), j = 1 .. _EM_CORRECTIONS, as floats
+_EM_COEFS = tuple(float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
+                  for j in range(1, _EM_CORRECTIONS + 1))
+_DIGAMMA_COEFS = tuple(float(_BERNOULLI[2 * j]) / (2 * j)
+                       for j in range(1, _EM_CORRECTIONS + 1))
 
 
 class SpecialFunctionError(ValueError):
@@ -126,11 +131,15 @@ def stirling_remainder_r2_sum(s: float) -> float:
 # Hurwitz / Riemann zeta by Euler-Maclaurin continuation
 # ----------------------------------------------------------------------
 
-def _pochhammer(s: float, m: int) -> float:
+def _em_corrections(s: float):
+    """(j, B_2j / (2j)!, s (s+1) ... (s+2j-2)) for j = 1 .. _EM_CORRECTIONS,
+    the rising factorial as a running product, its factors in their order."""
     p = 1.0
-    for i in range(m):
-        p *= s + i
-    return p
+    for j, b in enumerate(_EM_COEFS, start=1):
+        if j > 1:
+            p *= s + (2 * j - 3)
+        p *= s + (2 * j - 2)
+        yield j, b, p
 
 
 def _pochhammer_prime(s: float, m: int) -> float:
@@ -167,9 +176,8 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
         acc = t
     w = _EM_TERMS + a
     acc += w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
-    for j in range(1, _EM_CORRECTIONS + 1):
-        b = float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
-        acc += b * _pochhammer(s, 2 * j - 1) * w ** (-s - 2 * j + 1)
+    for j, b, p in _em_corrections(s):
+        acc += b * p * w ** (-s - 2 * j + 1)
     return acc
 
 
@@ -193,12 +201,8 @@ def hurwitz_zeta_prime(s: float, a: float = 1.0) -> float:
     lw = math.log(w)
     acc += w ** (1.0 - s) * (-lw / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
     acc += -0.5 * lw * w ** (-s)
-    for j in range(1, _EM_CORRECTIONS + 1):
-        b = float(_BERNOULLI[2 * j]) / math.factorial(2 * j)
-        m = 2 * j - 1
-        acc += b * w ** (-s - 2 * j + 1) * (
-            _pochhammer_prime(s, m) - _pochhammer(s, m) * lw
-        )
+    for j, b, p in _em_corrections(s):
+        acc += b * w ** (-s - 2 * j + 1) * (_pochhammer_prime(s, 2 * j - 1) - p * lw)
     return acc
 
 
@@ -207,8 +211,7 @@ def _digamma(x: float) -> float:
     form: psi(x) = -lim (zeta(s, x) - 1/(s - 1)), same truncation."""
     w = _EM_TERMS + x
     tail = math.log(w) - 0.5 / w - sum(
-        float(_BERNOULLI[2 * j]) / (2 * j) * w ** (-2 * j)
-        for j in range(1, _EM_CORRECTIONS + 1))
+        b * w ** (-2 * j) for j, b in enumerate(_DIGAMMA_COEFS, start=1))
     return tail - math.fsum(1.0 / (k + x) for k in range(_EM_TERMS))
 
 

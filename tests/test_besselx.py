@@ -182,6 +182,22 @@ class TestZeroSequences:
         assert np.all(np.diff(seq.zeros) > 0)
         assert np.all(seq.zeros > 0)
 
+    @pytest.mark.parametrize("n,m,want", [
+        (106, 105, 2.3936133510465463), (118, 117, 2.3947417764232854),
+        (119, 117, 3.8157044671417943), (118, 118, 3.8157044336166584),
+        (150, 150, 3.8190795474039362)])
+    def test_lowest_zero_at_large_m(self, n, m, want):
+        # 60-digit mpmath bisection; the lowest zero of L_{m+1} lies below
+        # every factor zero, where L is below 1e-160 from m = 105 on
+        assert bx.zeros(n, m, 1).zeros[0] == pytest.approx(want, rel=1e-13)
+
+    def test_underflow_below_the_first_factor_zero_raises(self):
+        # from m = 175, L_{m+1} underflows to 0 at the midpoint of (0, d_1):
+        # that is an error, never a zero
+        assert bx.zeros(175, 174, 1).zeros[0] == pytest.approx(2.398003153252613, rel=1e-13)
+        with pytest.raises(BracketError, match=r"L_176 \(m=175\) underflows"):
+            bx.zeros(176, 175, 1)
+
 
 class TestBatchedSequences:
     """zero_sequences solves many (n, m) pairs at once; batching changes no bit."""
@@ -235,8 +251,21 @@ class TestBatchedSequences:
         # the pairs of one symmetry class share one result
         assert batch[(0, 30)] is batch[(30, 30)]
 
+    def test_batch_mixing_K_equals_one_pair_calls(self, monkeypatch):
+        # one batch over several K, twist degrees and both bracket layouts
+        requests = [([(0, 2), (5, 2), (1, 0)], 7), ([(3, 1), (0, 5), (9, 4)], 1),
+                    ([(5, 2), (2, 4), (8, 3)], 30)]
+        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+        monkeypatch.setattr(bx, "_SEQUENCES", {})
+        batch = bx.solve_zero_sequences(requests)
+        for (pairs, K), got in zip(requests, batch):
+            for pair, seq in zip(pairs, got):
+                monkeypatch.setattr(bx, "_ZERO_TABLES", {})
+                monkeypatch.setattr(bx, "_SEQUENCES", {})
+                self._assert_same(seq, bx.zeros(*pair, K), (pair, K))
+
     def test_empty_gap_names_its_order(self, monkeypatch):
-        # flatten L_7 on its probes: its gaps hold no sign change
+        # flatten L_7 at its factor zeros: its gaps above d_1 hold no sign change
         cross_L = bx.cross_L
 
         def flat_7(n, m, x):
@@ -279,13 +308,16 @@ class TestSequenceMemo:
         solves = []
         solve = bx._solve_sequences
         monkeypatch.setattr(bx, "_solve_sequences",
-                            lambda keys, K: solves.append((keys, K)) or solve(keys, K))
+                            lambda keys: solves.append(keys) or solve(keys))
         bx.zero_sequences(self.PAIRS[:3], 12)
         bx.zero_sequences(self.PAIRS, 12)
         bx.zero_sequences(self.PAIRS, 12)
         bx.zero_sequences(self.PAIRS[:1], 13)
-        assert solves == [([(3, 5), (4, 4), (2, 4)], 12), ([(3, 0), (6, 1)], 12),
-                          ([(3, 5)], 13)]
+        assert solves == [[(3, 5, 12), (4, 4, 12), (2, 4, 12)], [(3, 0, 12), (6, 1, 12)],
+                          [(3, 5, 13)]]
+        # one batch of several K solves only what the memo lacks, once each
+        bx.solve_zero_sequences([(self.PAIRS, 12), (self.PAIRS[:2], 13), (self.PAIRS[1:2], 7)])
+        assert solves[3:] == [[(4, 4, 13), (4, 4, 7)]]
 
     @pytest.mark.parametrize("K", [1, 7, 40])
     def test_other_K_equals_a_cold_solve(self, K, monkeypatch):

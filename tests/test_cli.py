@@ -129,13 +129,37 @@ class TestVerifyZeroTables:
 
     def test_all_builds_each_table_once(self, monkeypatch):
         builds, solves = self._run(monkeypatch, "all")
-        assert builds == [("j", 22, 62), ("jp", 14, 60)]
-        # two table builds, and one lockstep per batch that solves a generic pair
-        assert len(solves) <= 10
+        assert builds == [("j", 22, 61), ("jp", 14, 61)]
+        # two table builds, and one lockstep solve of every generic pair
+        assert len(solves) == 3
+
+    def test_all_solves_its_zeros_in_one_batch(self, monkeypatch):
+        batches = []
+        solve = besselx._solve_sequences
+        monkeypatch.setattr(besselx, "_solve_sequences",
+                            lambda keys: batches.append(keys) or solve(keys))
+        self._run(monkeypatch, "all")
+        assert len(batches) == 1
+        assert {K for *_, K in batches[0]} == {1, 10, 50, 60}
 
     def test_interlacing_builds_each_table_once(self, monkeypatch):
         builds, _ = self._run(monkeypatch, "interlacing")
-        assert builds == [("j", 22, 52), ("jp", 10, 50)]
+        assert builds == [("j", 22, 51), ("jp", 10, 51)]
+
+
+def test_routes_suite_samples_each_twist_degree_once(monkeypatch):
+    # run_suite samples the spectral sums' orders of m = 0 and 1 in one
+    # complex kernel pass each, and the route checks of m = 0, 1 and 2 read
+    # the low orders' rows from them (m = 2 takes one pass of its own)
+    from zetacan import zetareg
+
+    calls = []
+    kernel = zetareg.bessel_j_complex_many
+    monkeypatch.setattr(zetareg, "bessel_j_complex_many",
+                        lambda orders, z: calls.append(orders) or kernel(orders, z))
+    monkeypatch.setattr(zetareg, "_CONTOUR_SAMPLES", {})
+    assert all(r.passed for r in verify.run_suite("routes"))
+    assert len(calls) == 3
 
 
 class TestExitCodes:
@@ -148,6 +172,12 @@ class TestExitCodes:
         monkeypatch.setattr("zetacan.cli.besselx.zero_sequences", boom)
         assert cli.main(["spectrum", "--m", "0", "--n-max", "1",
                          "--k-max", "1"]) == 3
+
+    @pytest.mark.parametrize("m,code", [(183, 0), (184, 3)])
+    def test_spectrum_range_edge(self, m, code, capsys):
+        # from m = 184, L_m underflows to 0 at the first factor zero
+        assert cli.main(["spectrum", "--m", str(m), "--n-max", "3", "--k-max", "5"]) == code
+        assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
 
     def test_non_finite_contour_exits_3(self, monkeypatch, capsys):
         from zetacan import zetareg

@@ -84,6 +84,64 @@ class TestZeta:
         assert sp.riemann_zeta_prime(-2.0) == pytest.approx(
             -sp.riemann_zeta(3.0) / (4.0 * math.pi ** 2), rel=1e-12)
 
+    def test_precomputed_corrections_keep_every_bit(self):
+        # the Euler-Maclaurin corrections as they were written before their
+        # coefficients became module constants: each Bernoulli number
+        # converted and divided on every call, each rising factorial
+        # multiplied out from 1
+        def coef(j):
+            return float(sp._BERNOULLI[2 * j]) / math.factorial(2 * j)
+
+        def rising(s, m):
+            p = 1.0
+            for i in range(m):
+                p *= s + i
+            return p
+
+        def head(s, a, term):
+            acc = comp = 0.0
+            for k in range(sp._EM_TERMS):
+                y = term(k + a) - comp
+                t = acc + y
+                comp = (t - acc) - y
+                acc = t
+            return acc, sp._EM_TERMS + a
+
+        def hurwitz(s, a):
+            acc, w = head(s, a, lambda v: v ** (-s))
+            acc += w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
+            for j in range(1, sp._EM_CORRECTIONS + 1):
+                acc += coef(j) * rising(s, 2 * j - 1) * w ** (-s - 2 * j + 1)
+            return acc
+
+        def hurwitz_prime(s, a):
+            acc, w = head(s, a, lambda v: -math.log(v) * v ** (-s))
+            lw = math.log(w)
+            acc += w ** (1.0 - s) * (-lw / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
+            acc += -0.5 * lw * w ** (-s)
+            for j in range(1, sp._EM_CORRECTIONS + 1):
+                m = 2 * j - 1
+                acc += coef(j) * w ** (-s - 2 * j + 1) * (
+                    sp._pochhammer_prime(s, m) - rising(s, m) * lw)
+            return acc
+
+        def digamma(x):
+            w = sp._EM_TERMS + x
+            tail = math.log(w) - 0.5 / w - sum(
+                float(sp._BERNOULLI[2 * j]) / (2 * j) * w ** (-2 * j)
+                for j in range(1, sp._EM_CORRECTIONS + 1))
+            return tail - math.fsum(1.0 / (k + x) for k in range(sp._EM_TERMS))
+
+        rng = np.random.default_rng(27)
+        for s, a in zip(rng.uniform(-12.0, 40.0, 2000), rng.uniform(0.01, 100.0, 2000)):
+            s, a = float(s), float(a)
+            assert sp.hurwitz_zeta.__wrapped__(s, a) == hurwitz(s, a), (s, a)
+            assert sp.hurwitz_zeta_prime.__wrapped__(s, a) == hurwitz_prime(s, a), (s, a)
+            assert sp._digamma(a) == digamma(a), a
+        for s in (-12.0, -2.0, -1.0, 0.0, 2.0, 3.0):  # integer s, factors of 0 included
+            assert sp.hurwitz_zeta.__wrapped__(s, 1.0) == hurwitz(s, 1.0), s
+            assert sp.hurwitz_zeta_prime.__wrapped__(s, 1.0) == hurwitz_prime(s, 1.0), s
+
 
 class TestBesselJ:
     def test_series_constant_term(self):

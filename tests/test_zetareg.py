@@ -79,6 +79,15 @@ class TestProfileRange:
         assert cli.main(["zeta", "--m", str(m), "--route", "profile"]) == code
         assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
 
+    @pytest.mark.parametrize("m,code", [(127, 0), (128, 3)])
+    def test_contour_edge_exit_codes(self, m, code, capsys):
+        # the contour route stops where its vertex solve used to fail, so
+        # its error (1.5e-3 at m = 128) is never reported with exit 0
+        from zetacan import cli
+
+        assert cli.main(["zeta", "--m", str(m), "--route", "contour"]) == code
+        assert ("numerical failure" in capsys.readouterr().err) == (code == 3)
+
     def test_small_z_coefficient_log_past_float_range(self):
         # l underflows a float at m = 200; its log comes from the exact integers
         for nu, m in ((100, 200), (200, 200), (201, 200), (3, 4)):
@@ -312,10 +321,10 @@ class TestDirectZeroCache:
         solves = []
         solve = zr.besselx._solve_sequences
         monkeypatch.setattr(zr.besselx, "_solve_sequences",
-                            lambda keys, K: solves.append((keys, K)) or solve(keys, K))
+                            lambda keys: solves.append(keys) or solve(keys))
         cold = [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)]
         assert zr._sum_orders(1) == [0, *range(2, 16)]  # the low order, then the family
-        assert solves == [([(1, 1), *((nu, 1) for nu in range(2, 16))], 60)]
+        assert solves == [[(1, 1, 60), *((nu, 1, 60) for nu in range(2, 16))]]
         monkeypatch.setattr(zr.besselx, "_solve_sequences", None)  # a warm call solves nothing
         assert [zr.spectral_zeta_direct(1, s) for s in (1.5, 2.0)] == cold
         seqs = zr.besselx.zero_sequences([(nu, 1) for nu in zr._sum_orders(1)], 60)
