@@ -49,6 +49,11 @@ contour value moved by at most 2.9e-7 (M = 64), staying within 0.96 to
 6.5e-10 of the closed value for every M <= 64; and the ``--check-routes``
 commands for M >= 25, which exited 3 with an uncertified profile, now
 exit 0.
+``spectrum_m{1,2,17,30}``, the M = 24 contour CSV file and the ``zeta``
+entries for M in {43, 48, 52, 55, 61} were re-captured when every
+cross-product zero came to be bracketed between consecutive factor zeros:
+44 lambdas moved by at most 2.4e-16 relative, and the contour value by at
+most 5.1e-12, each distance from the closed value unchanged to 5 digits.
 ``golden/verify_all.txt`` holds the 85 verdicts and check names of ``verify
 --suite all``; the ``err=`` details are left out, since they may move in the
 last digits when an implementation is merged or reordered.
