@@ -26,10 +26,11 @@ Cross products take arrays of points, with n and m per point: L_n reads
 its J orders, negative ones too, from one kernel table, and log G_n its
 four I orders from one ``bessel_i_log`` call.
 
-Bessel zeros themselves are generated internally, all orders of a table at
-once: sign changes of one kernel pass over a unit grid bracket them, one
-lockstep solve polishes them and the interlacing of neighbouring orders
-certifies them, so the module has no dependency on tabulated zeros.
+Bessel zeros themselves are generated internally, by each solve batch for
+itself, all orders of a table at once: sign changes of one kernel pass
+over a unit grid bracket them, one lockstep solve polishes them and the
+interlacing of neighbouring orders certifies them, so the module has no
+dependency on tabulated zeros.
 """
 
 from __future__ import annotations
@@ -108,11 +109,8 @@ class Spectrum:
 
 
 # ----------------------------------------------------------------------
-# Bessel zero tables (internal, cached)
+# Bessel zero tables
 # ----------------------------------------------------------------------
-
-_ZERO_TABLES: dict = {}  # "j" / "jp" -> (orders, count) array of zeros
-
 
 def _j_pair(kind: str, n: np.ndarray, x: np.ndarray):
     """f and f' for f = J_n (kind "j") or f = J_n' (kind "jp"), order n per point.
@@ -132,15 +130,19 @@ def _interlaced(lower: np.ndarray, upper: np.ndarray) -> bool:
 
 
 def _build_zero_table(kind: str, n_top: int, count: int) -> np.ndarray:
-    """First ``count`` zeros of J_n (kind "j") or J_n' ("jp"), n = 0..n_top.
+    """First ``count`` zeros of J_n (kind "j") or J_n' ("jp"), n = 0..max(n_top, 7).
 
     Consecutive zeros of J_n and of J_n' lie more than 3 apart (DLMF
     10.21(vii)), so on a grid of spacing 1 every cell holds at most one zero
     and the k-th sign change of a row brackets its k-th zero.  All brackets
     are polished in one lockstep Newton solve, and the table is certified
     by interlacing across orders: j_{n-1,k} < j_{n,k} < j_{n-1,k+1}, and for
-    the derivative zeros (J_0' = -J_1) j'_{1,k} < j'_{0,k} < j'_{1,k+1}.
+    the derivative zeros (J_0' = -J_1) j'_{1,k} < j'_{0,k} < j'_{1,k+1}, so
+    no table is certified across a single order.  Every zero depends only
+    on its own bracket cell and kernel pass: tables of any size agree where
+    they overlap.
     """
+    n_top = max(n_top, 7)
     x_max = math.pi * (count + 0.5 * n_top + 1.0)
     while True:
         grid = np.arange(1.0, math.ceil(x_max) + 1.0)
@@ -166,33 +168,9 @@ def _build_zero_table(kind: str, n_top: int, count: int) -> np.ndarray:
     return table
 
 
-def _zero_table(kind: str, order: int, count: int) -> np.ndarray:
-    """Zeros 1..count of J_|order| or J_|order|', from the cached table.
-
-    The first request builds the table to its own order (8 rows at least)
-    and count, all that a one-shot caller such as ``spectrum`` needs.  A
-    later request beyond the table rebuilds it once, to the largest order
-    and count asked for so far, each rounded up to a size class (a multiple
-    of 16), so that callers walking orders and counts upward rebuild it a
-    few times, not once per step.  Every zero depends only on its own
-    bracket cell and its own kernel pass, so the values depend neither on
-    the size of the table nor on the order of the requests.
-    """
-    order = abs(order)
-    table = _ZERO_TABLES.get(kind)
-    if table is None:
-        table = _ZERO_TABLES[kind] = _build_zero_table(kind, max(order, 7), count)
-    rows, have = table.shape
-    if order >= rows or count > have:
-        rows = -(-max(order + 1, rows) // 16) * 16
-        have = -(-max(count, have) // 16) * 16
-        table = _ZERO_TABLES[kind] = _build_zero_table(kind, rows - 1, have)
-    return table[order, :count].copy()
-
-
 def bessel_j_zeros(order: int, count: int) -> np.ndarray:
     """First ``count`` positive zeros of J_order (J_{-n} has the same zeros)."""
-    return _zero_table("j", order, count)
+    return _build_zero_table("j", abs(order), count)[abs(order)]
 
 
 # ----------------------------------------------------------------------
@@ -304,11 +282,6 @@ def _factor_families(nu: int, m: int):
     return ("j", nu), ("j", nu - m)
 
 
-def _merged_factor_zeros(nu: int, m: int, count: int) -> np.ndarray:
-    return np.sort(np.concatenate([_zero_table(kind, order, count)
-                                   for kind, order in _factor_families(nu, m)]))
-
-
 # (n, m, K), n canonical -> SpectralSequence, arrays read-only
 _SEQUENCES: dict = {}
 
@@ -360,8 +333,9 @@ def _segments(arrays):
 def _solve_sequences(keys) -> None:
     """Solve the canonical (n, m, K) ``keys`` in one batch, into the memo.
 
-    Each zero table is sized once, to the largest order and count that the
-    batch reads of it: K + 1 zeros of each factor family.  One kernel pass
+    The batch builds one J and (for m = 0) one J' zero table, each to the
+    largest order and count that it reads: K + 1 zeros of each factor
+    family, merged per pair into d_1 < d_2 < ....  One kernel pass
     takes the sign of L at every generic pair's d_1 .. d_{K+1}, one
     lockstep Newton solve on the analytic L_n' polishes every bracket, and
     one pass takes |L_n| at the zeros and at the midpoints between them.
@@ -371,11 +345,11 @@ def _solve_sequences(keys) -> None:
         for kind, order in _factor_families(n, m):
             top, have = need.get(kind, (0, 0))
             need[kind] = max(top, abs(order)), max(have, K + 1)
-    for kind, (order, count) in need.items():
-        _zero_table(kind, order, count)
+    tables = {kind: _build_zero_table(kind, *size) for kind, size in need.items()}
     lam, generic, ends = {}, [], []
     for n, m, K in keys:
-        d = _merged_factor_zeros(n, m, K + 1)[:K + 1]
+        d = np.sort(np.concatenate([tables[kind][abs(order), :K + 1]
+                                    for kind, order in _factor_families(n, m)]))[:K + 1]
         if _factorized(n, m):
             lam[n, m, K] = d[:K]
         else:

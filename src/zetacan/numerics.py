@@ -254,7 +254,7 @@ def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
     ks = np.arange(len(zeros) - tail_fit + 1, len(zeros) + 1, dtype=float)
     ys = zeros[-tail_fit:] / slope - ks
     basis = np.stack([np.ones_like(ks), 1.0 / ks, 1.0 / ks ** 2], axis=1)
-    (delta, e1, f2), *_ = np.linalg.lstsq(basis, ys, rcond=None)
+    delta, e1, f2 = _scaled_lstsq(basis, ys)
     # lambda_k = slope (u + e1/u + (f2 + e1 delta)/u^2 + ...), u = k + delta
     a0 = K + 1.0 + delta
     tail = (hurwitz_zeta(2.0 * s, a0)

@@ -502,7 +502,9 @@ def _log(x) -> np.ndarray:
 def _series_i_log(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     # n >= 0, x > 0, 1-d arrays of one length.  All terms positive: no
     # cancellation at any x.  Each point stops on its own rule and rescales
-    # its own running sum, so it gets the bits a one-point call gives it.
+    # its own running sum, so it gets the bits a one-point call gives it:
+    # a point stops once its terms fall, with t < 1e-18 acc, so the smaller
+    # terms that the loop still adds to it are below half an ulp of acc.
     lt0 = n * _log(0.5 * x) - np.array([math.lgamma(k + 1.0) for k in n.tolist()])
     q = 0.25 * x * x
     t, acc, shift = np.ones_like(x), np.ones_like(x), np.zeros_like(x)
@@ -510,8 +512,8 @@ def _series_i_log(n: np.ndarray, x: np.ndarray) -> np.ndarray:
     r = 0
     while live.any():
         r += 1
-        t = np.where(live, t * (q / (r * (n + r))), t)
-        acc = np.where(live, acc + t, acc)
+        t *= q / (r * (n + r))
+        acc += t
         live &= (r <= 3) | (t >= 1e-18 * acc)
         hot = live & (acc > 1e280)
         if hot.any():

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 from fractions import Fraction
 
@@ -21,62 +20,33 @@ class TestZeroTables:
 
     @pytest.mark.parametrize("order", [0, 1, 4])
     def test_jp_zeros_against_scipy(self, order):
-        own = bx._zero_table("jp", order, 30)
+        own = bx._build_zero_table("jp", order, 30)[order]
         ref = jnp_zeros(order, 30)
         assert np.max(np.abs(own - ref)) < 1e-12
 
     def test_first_zero_ordering(self):
         # j_{n,1} > j'_{n,1} > n for n = 1..10
+        jp1 = bx._build_zero_table("jp", 10, 1)[:, 0]
         for n in range(1, 11):
-            j1 = bx.bessel_j_zeros(n, 1)[0]
-            jp1 = bx._zero_table("jp", n, 1)[0]
-            assert j1 > jp1 > n
+            assert bx.bessel_j_zeros(n, 1)[0] > jp1[n] > n
 
     @pytest.mark.parametrize("kind", ["j", "jp"])
-    def test_full_tables_against_scipy(self, kind, monkeypatch):
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
-        own_zeros, ref_zeros = ((bx.bessel_j_zeros, jn_zeros) if kind == "j"
-                                else (functools.partial(bx._zero_table, "jp"), jnp_zeros))
-        for order in range(65):
-            own = own_zeros(order, 80)
+    def test_full_tables_against_scipy(self, kind):
+        ref_zeros = jn_zeros if kind == "j" else jnp_zeros
+        table = bx._build_zero_table(kind, 64, 80)
+        assert table.shape == (65, 80)
+        for order, own in enumerate(table):
             ref = ref_zeros(order, 80)
             assert np.max(np.abs(own - ref) / ref) <= 1e-14, order
 
-    @pytest.mark.parametrize("zeros_of", [bx.bessel_j_zeros, functools.partial(bx._zero_table, "jp")],
-                             ids=["bessel_j_zeros", "bessel_jp_zeros"])
-    def test_request_order_does_not_matter(self, zeros_of, monkeypatch):
-        requests = [(n, 5 + 3 * n) for n in range(0, 40, 3)]
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
-        ascending = [zeros_of(n, c) for n, c in requests]
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
-        descending = [zeros_of(n, c) for n, c in reversed(requests)][::-1]
-        for a, d in zip(ascending, descending):
-            assert np.array_equal(a, d)
-
-    def test_growth_builds_once(self, monkeypatch):
-        # a request past the table triggers exactly one build, never a
-        # cascade of lower-order rebuilds; the first build is what was asked
-        # for, and every rebuild goes to the next size class (multiples of
-        # 16 in orders and in count)
-        builds = []
-        build = bx._build_zero_table
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
-        monkeypatch.setattr(bx, "_build_zero_table",
-                            lambda *a: builds.append(a) or build(*a))
-        for order, count, grows in ((3, 10, True), (2, 10, False), (7, 10, False),
-                                    (12, 10, True), (12, 11, False), (15, 16, False),
-                                    (16, 10, True), (0, 40, True), (40, 60, True),
-                                    (25, 5, False), (47, 64, False)):
-            before = len(builds)
-            assert len(bx.bessel_j_zeros(order, count)) == count
-            assert len(builds) - before == int(grows), (order, count)
-        assert [b[1:] for b in builds] == [(7, 10), (15, 16), (31, 16), (31, 48), (47, 64)]
-
     @pytest.mark.parametrize("kind", ["j", "jp"])
     def test_table_size_does_not_move_a_zero(self, kind):
-        # tables of different sizes agree bit for bit where they overlap
+        # tables of different sizes agree bit for bit where they overlap; one
+        # asked for at order 0 still spans the 8 orders that its interlacing
+        # certification compares
         tables = [bx._build_zero_table(kind, n_top, count)
-                  for n_top, count in ((7, 10), (15, 16), (20, 33), (31, 64), (47, 48))]
+                  for n_top, count in ((0, 5), (7, 10), (15, 16), (20, 33), (31, 64), (47, 48))]
+        assert tables[0].shape == (8, 5)
         for i, a in enumerate(tables):
             for b in tables[i + 1:]:
                 rows, cols = min(a.shape[0], b.shape[0]), min(a.shape[1], b.shape[1])
@@ -167,7 +137,8 @@ class TestZeroSequences:
     def test_interlacing_generic(self):
         nu, m, K = 5, 2, 40
         lam = bx.zeros(nu, m, K).zeros
-        merged = bx._merged_factor_zeros(nu, m, K + 3)
+        merged = np.sort(np.concatenate([bx.bessel_j_zeros(nu, K + 3),
+                                         bx.bessel_j_zeros(nu - m, K + 3)]))
         for i in range(K - 1):
             inside = np.sum((merged > lam[i]) & (merged < lam[i + 1]))
             assert inside == 1
@@ -218,7 +189,6 @@ class TestBatchedSequences:
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
     @pytest.mark.parametrize("K", [1, 8, 50])
     def test_batch_equals_solo(self, m, K, monkeypatch):
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
         monkeypatch.setattr(bx, "_SEQUENCES", {})
         orders = self._orders(m)
         batch = bx.zero_sequences([(n, m) for n in orders], K)
@@ -235,14 +205,12 @@ class TestBatchedSequences:
     def test_mixed_twist_degrees_equal_per_m_calls(self, K, monkeypatch):
         # one batch over six twist degrees, with m = 0 (J J' factors), even m
         # (the middle order's J_{m/2} J_{m/2+1} factors) and odd m, in an
-        # order that is neither sorted by m nor by n; cold tables both times
+        # order that is neither sorted by m nor by n; an empty memo both times
         degrees = (5, 0, 30, 2, 17, 1)
         pairs = [(n, m) for m in degrees for n in self._orders(m)][::-1]
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
         monkeypatch.setattr(bx, "_SEQUENCES", {})
         batch = dict(zip(pairs, bx.zero_sequences(pairs, K)))
         for m in degrees:
-            monkeypatch.setattr(bx, "_ZERO_TABLES", {})
             monkeypatch.setattr(bx, "_SEQUENCES", {})
             orders = self._orders(m)
             for n, want in zip(orders, bx.zero_sequences([(n, m) for n in orders], K)):
@@ -255,12 +223,10 @@ class TestBatchedSequences:
         # one batch over several K, twist degrees and both bracket layouts
         requests = [([(0, 2), (5, 2), (1, 0)], 7), ([(3, 1), (0, 5), (9, 4)], 1),
                     ([(5, 2), (2, 4), (8, 3)], 30)]
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
         monkeypatch.setattr(bx, "_SEQUENCES", {})
         batch = bx.solve_zero_sequences(requests)
         for (pairs, K), got in zip(requests, batch):
             for pair, seq in zip(pairs, got):
-                monkeypatch.setattr(bx, "_ZERO_TABLES", {})
                 monkeypatch.setattr(bx, "_SEQUENCES", {})
                 self._assert_same(seq, bx.zeros(*pair, K), (pair, K))
 
@@ -322,11 +288,10 @@ class TestSequenceMemo:
     @pytest.mark.parametrize("K", [1, 7, 40])
     def test_other_K_equals_a_cold_solve(self, K, monkeypatch):
         # a pair memoized at K = 20 and asked for at another K is solved
-        # anew; it equals a solve with cold tables and an empty memo
+        # anew; it equals a solve with an empty memo
         monkeypatch.setattr(bx, "_SEQUENCES", {})
         bx.zero_sequences(self.PAIRS, 20)
         warm = bx.zero_sequences(self.PAIRS, K)
-        monkeypatch.setattr(bx, "_ZERO_TABLES", {})
         monkeypatch.setattr(bx, "_SEQUENCES", {})
         cold = bx.zero_sequences(self.PAIRS, K)
         for pair, a, b in zip(self.PAIRS, warm, cold):

@@ -110,14 +110,14 @@ class TestVerifyCommand:
 
 
 class TestVerifyZeroTables:
-    """run_suite sizes the J and J' zero tables once, to the union of the
-    selected suites' zero solves, and no suite reads past them."""
+    """A command solves its zeros in one batch, which builds the J and J'
+    zero tables once each, to the union of what the batch reads; run_suite
+    makes that batch for the selected suites, and no suite reads past it."""
 
     @staticmethod
     def _run(monkeypatch, suite):
         builds, solves = [], []
         build, newton = besselx._build_zero_table, besselx.newton_brackets
-        monkeypatch.setattr(besselx, "_ZERO_TABLES", {})
         monkeypatch.setattr(besselx, "_SEQUENCES", {})
         monkeypatch.setattr(besselx, "_build_zero_table",
                             lambda *a: builds.append(a) or build(*a))
@@ -145,6 +145,25 @@ class TestVerifyZeroTables:
     def test_interlacing_builds_each_table_once(self, monkeypatch):
         builds, _ = self._run(monkeypatch, "interlacing")
         assert builds == [("j", 22, 51), ("jp", 10, 51)]
+
+    @pytest.mark.parametrize("argv,want", [
+        (["spectrum", "--m", "0", "--n-max", "20", "--k-max", "10"],
+         [("j", 19, 11), ("jp", 19, 11)]),
+        (["spectrum", "--m", "30", "--n-max", "4", "--k-max", "50"], [("j", 30, 51)]),
+        (["spectrum", "--m", "17", "--n-max", "12", "--k-max", "30"], [("j", 20, 31)]),
+        (["zeta", "--m", "40", "--check-routes", "profile,contour"], [("j", 41, 2)]),
+    ], ids=["spectrum-20-10-0", "spectrum-4-50-30", "spectrum-12-30-17", "zeta-40"])
+    def test_command_builds_each_table_once(self, argv, want, monkeypatch, capsys):
+        batches, builds = [], []
+        solve, build = besselx._solve_sequences, besselx._build_zero_table
+        monkeypatch.setattr(besselx, "_SEQUENCES", {})
+        monkeypatch.setattr(besselx, "_solve_sequences",
+                            lambda keys: batches.append(keys) or solve(keys))
+        monkeypatch.setattr(besselx, "_build_zero_table",
+                            lambda *a: builds.append(a) or build(*a))
+        assert cli.main(argv) == 0 and capsys.readouterr().out
+        assert len(batches) == 1
+        assert builds == want
 
 
 def test_routes_suite_samples_each_twist_degree_once(monkeypatch):
