@@ -22,9 +22,9 @@ process, keyed by its canonical (n, m) and K, with read-only arrays, so a
 batch solves only the pairs no earlier call solved at its K, and
 ``solve_zero_sequences`` solves the (pairs, K) requests of a whole
 workload (``verify.run_suite``) as one such batch.
-Cross products take arrays of points, with n and m per point: L_n reads
-its J orders, negative ones too, from one kernel table, and log G_n its
-four I orders from one ``bessel_i_log`` call.
+Cross products take arrays of points, with n and m per point: L_n asks one
+kernel pass for its J orders, negative ones too, and log G_n its four I
+orders from one ``bessel_i_log`` call.
 
 Bessel zeros themselves are generated internally, by each solve batch for
 itself, all orders of a table at once: sign changes of one kernel pass
@@ -42,7 +42,7 @@ from fractions import Fraction
 
 from . import np
 from .numerics import BracketError, newton_brackets
-from .special import _j_signed, _log, bessel_i_log, bessel_j_orders
+from .special import _log, bessel_i_log, bessel_j_orders
 
 __all__ = [
     "SpectralSequence",
@@ -146,7 +146,7 @@ def _build_zero_table(kind: str, n_top: int, count: int) -> np.ndarray:
     x_max = math.pi * (count + 0.5 * n_top + 1.0)
     while True:
         grid = np.arange(1.0, math.ceil(x_max) + 1.0)
-        j = bessel_j_orders(n_top + 1, grid)
+        j = bessel_j_orders(n_top + 1, grid, np.arange(n_top + 2)[:, None])
         if kind == "j":
             vals = j[:-1]
         else:
@@ -179,16 +179,14 @@ def bessel_j_zeros(order: int, count: int) -> np.ndarray:
 
 def _j_and_prime(bases, count, top, x):
     """[(J_k(x), J_k'(x)) for k = b .. b + count - 1, for each b in ``bases``]
-    from one kernel pass and one gather, J_k' = (J_{k-1} - J_{k+1})/2,
-    negative orders included.  x is a scalar or an array; each base order b
-    and ``top``, the highest order a point needs, are integers or integer
-    arrays broadcast against x.  A point's pass stops at its own top, so its
-    values never depend on the other points of the call."""
+    from one kernel pass, J_k' = (J_{k-1} - J_{k+1})/2, negative orders
+    included.  x is a scalar or an array; each base order b and ``top``, each
+    point's highest order, are integers or integer arrays broadcast against
+    x, so a point's values never depend on the other points of the call."""
     x, top, *bases = np.broadcast_arrays(np.asarray(x, dtype=float), top, *bases)
-    j = bessel_j_orders(top.ravel(), x.ravel())
-    # each base b reads its orders b - 1 .. b + count
-    q = np.concatenate([np.arange(-1, count + 1)[:, None] + b.ravel() for b in bases])
-    J = [row[()] for row in _j_signed(j, q, np.arange(x.size)).reshape((-1,) + x.shape)]
+    # each base b asks for its orders b - 1 .. b + count
+    steps = np.arange(-1, count + 1).reshape((-1,) + (1,) * x.ndim)
+    J = [row[()] for row in bessel_j_orders(top, x, np.concatenate([steps + b for b in bases]))]
     return [(J[i], 0.5 * (J[i - 1] - J[i + 1]))
             for r in range(0, len(J), count + 2) for i in range(r + 1, r + count + 1)]
 

@@ -7,16 +7,14 @@ functions that callers ask for again and again (``hurwitz_zeta``,
 zeta, its s-derivative and digamma come from one Euler-Maclaurin form;
 Riemann zeta values for s < -1/2 go through the functional equation.
 
-The Bessel layer is array-first.  ``bessel_j_orders`` yields J_0 .. J_n at
-every point of a real or complex array.  A point far out on the right,
-|x| >= max(30, 2 n), takes Hankel's large-argument expansion for J_0 and
-J_1 and forward recurrence above; every other point takes one downward
-(Miller) recurrence, normalized by the Neumann series (against ``cos z``
-where the imaginary part is large), started at its own index.  Either way
-its values never depend on the other points of the call, and many contours
-go through one pass.  ``bessel_j``,
-``bessel_j_many`` and ``bessel_j_complex_many`` are thin views of its
-table, and ``_j_signed`` is the one reader of negative orders in it.
+The Bessel layer is array-first.  ``bessel_j_orders`` yields J at the
+signed orders that each point of a real or complex array asks for, and no
+others.  A point far out on the right, |x| >= max(30, 2 n) with n its
+highest order, takes Hankel's expansion for J_0 and J_1 and forward
+recurrence above; every other point takes one downward (Miller) recurrence,
+normalized by the Neumann series (against ``cos z`` where the imaginary
+part is large), started at its own index.  Either way its values never
+depend on the rest of the call, and many contours go through one pass.
 ``bessel_i_log`` gives log I_n(x) for orders and points broadcast together,
 so that cross products at large order/argument never overflow:
 large-argument asymptotics (https://dlmf.nist.gov/10.40) where x >= max(35,
@@ -42,7 +40,6 @@ __all__ = [
     "riemann_zeta",
     "riemann_zeta_prime",
     "bessel_j_orders",
-    "bessel_j",
     "bessel_j_many",
     "bessel_j_complex_many",
     "bessel_i_log",
@@ -258,86 +255,104 @@ def riemann_zeta_prime(s: float) -> float:
 # Bessel J
 # ----------------------------------------------------------------------
 
-def _rescale(k, out, f, fp, *sums):
-    """Multiply f, fp, each of ``sums`` and rows k.. of ``out`` by 1e-280, in
-    place, at the points where |f| > 1e280; returns (max |f|, max |fp|), the
-    recurrence's new bounds.
-
-    The arrays are the kernel's flat buffers (``out`` has one column per
-    point), and each point gets the decision and factor that a rescale of
-    the whole array would give it.  The bound on |fp| is taken afresh: the
-    caller's running bound may be far above it, and carried on it would set
-    off a rescale every few steps.
-    """
+def _rescale(scaled, f, fp, *sums):
+    """Multiply f, fp and each of ``sums`` by 1e-280, in place, at the points
+    where |f| > 1e280, and count it in ``scaled``; returns (max |f|,
+    max |fp|), the recurrence's new bounds, the one on |fp| taken afresh:
+    carried on, it would set off a rescale every few steps."""
     hot = np.flatnonzero(np.abs(f) > 1e280)
     for a in (f, fp, *sums):
         a[hot] *= 1e-280
-    out[k:, hot] *= 1e-280
+    scaled[hot] += 1
     return float(np.abs(f).max()), float(np.abs(fp).max())
 
 
-def bessel_j_orders(n_max, x) -> np.ndarray:
-    """J_0 .. J_n_max at every point of ``x``, shape ``(n_max + 1, *x.shape)``.
+def bessel_j_orders(n_max, x, orders) -> np.ndarray:
+    """J at the signed integer ``orders`` at the points of ``x``, in the shape
+    of the two broadcast together, the points' axes last: ``orders`` of shape
+    (r, 1) against a 1-d ``x`` asks for r orders at every point, of shape
+    (r, x.size) for r orders of each point's own.  J_{-k} = (-1)^k J_k.
 
-    ``n_max`` may be an integer array broadcast against ``x`` giving each
-    point's highest order (orders above it are not accurate there).  Each
-    point takes one of two regimes, chosen from its own x and highest order
-    alone, so a point's values never depend on the other points of the call:
-
-    * Re x > 0, |x| >= max(30, 2 n_max) and n_max^2 |Im x| <= 4 |x|^2:
-      Hankel's large-argument expansion of J_0 and J_1, then forward
-      recurrence up to the point's own highest order (``_hankel_rows``; its
-      rows above are 0);
-    * every other point: one downward (Miller) recurrence
-      (``_miller_rows``).
+    ``n_max``, broadcast against ``x``, is each point's highest order (orders
+    above it are not accurate there).  It and the point's x alone pick the
+    point's regime: Hankel's (``_hankel_rows``) where Re x > 0,
+    |x| >= max(30, 2 n_max) and n_max^2 |Im x| <= 4 |x|^2, else Miller's
+    (``_miller_rows``).  So its values never depend on the rest of the call.
     """
     x = np.asarray(x)
-    shape = x.shape
-    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64).reshape(-1)
-    top = int(np.max(n_max))
-    if x.size == 0:
-        return np.empty((top + 1,) + shape, dtype=x.dtype)
-    tops = np.broadcast_to(n_max, shape).reshape(-1)
+    x = x.astype(np.complex128 if np.iscomplexobj(x) else np.float64)
+    shape = np.broadcast_shapes(np.shape(orders), x.shape)
+    if math.prod(shape) == 0:
+        return np.empty(shape, dtype=x.dtype)
+    x = np.broadcast_to(x, shape[len(shape) - x.ndim:])
+    q = np.broadcast_to(orders, shape)
+    # rows of requests: (rows, 1) if a row asks one order at every point
+    rows = not any(q.strides[len(shape) - x.ndim:])
+    q = q[(...,) + (0,) * x.ndim].reshape(-1, 1) if rows else q.reshape(-1, x.size)
+    qa = np.abs(q).astype(np.min_scalar_type(int(np.max(np.abs(orders)))))  # radix-sort keys
+    odd = (q < 0) & ((qa & 1) == 1)
+    tops = np.broadcast_to(n_max, x.shape).reshape(-1)
+    x = x.reshape(-1)
     xa = np.abs(x)
     far = (x.real > 0.0) & (xa >= np.maximum(30.0, 2.0 * tops))
     if x.dtype.kind == "c":
         far &= tops * tops * np.abs(x.imag) <= 4.0 * xa * xa
-    if not far.any():
-        return _miller_rows(tops, x, top).reshape((top + 1,) + shape)
-    out = np.empty((top + 1, x.size), dtype=x.dtype)
-    _hankel_rows(tops, x, np.flatnonzero(far), out)
-    near = np.flatnonzero(~far)
-    if near.size:
-        _scatter_rows(out, near, _miller_rows(tops[near], x[near], top))
-    return out.reshape((top + 1,) + shape)
+    # Miller's points, then Hankel's by falling highest order, as column
+    # blocks of the result; permuted into that order if they do not come so
+    key = np.where(far, 1 + tops.max() - tops, 0)
+    j = blocks = np.empty((len(qa), x.size), dtype=x.dtype)
+    if np.any(key[1:] < key[:-1]):
+        cols = np.argsort(key.astype(np.min_scalar_type(key.max())), kind="stable")
+        x, tops, blocks = x[cols], tops[cols], np.empty_like(j)
+        qa = qa if rows else qa[:, cols]
+    n = x.size - np.count_nonzero(far)
+    for regime, part in ((_miller_rows, slice(n)), (_hankel_rows, slice(n, None))):
+        if tops[part].size:
+            regime(tops[part], x[part], qa if rows else qa[:, part], blocks[:, part])
+    if blocks is not j:
+        j[:, cols] = blocks
+    if odd.any():
+        np.negative(j, out=j, where=odd)
+    return j.reshape(shape)
 
 
-def _scatter_rows(out, cols, rows) -> None:
-    """out[:, cols] = rows, one 1-d assignment per row: faster than the 2-d
-    fancy assignment on the kernel's tables."""
-    for dst, src in zip(out, rows):
-        dst[cols] = src
+def _by_order(qa, top):
+    """The requests ``qa``, (rows, 1) or (rows, points), sorted stably by order
+    with one sort, as an index into the (rows, points) result, ([rows],) or
+    (rows, points), and the edges lo: order k <= top is lo[k]:lo[k + 1]."""
+    at = np.argsort(key := qa.ravel(), kind="stable")
+    lo = np.searchsorted(key[at], np.arange(top + 2)).tolist()
+    if qa.shape[1] == 1:
+        return (at.tolist(),), lo
+    rows = at // qa.shape[1]
+    pts = (at - rows * qa.shape[1]).astype(np.int32)  # faster than at % points
+    return (rows.astype(np.min_scalar_type(len(qa))), pts), lo
 
 
-def _miller_rows(tops, x, top) -> np.ndarray:
-    """J_0 .. J_top at the points of the 1-d array ``x`` by one downward
-    recurrence, as a (top + 1, x.size) table; ``tops`` holds each point's
-    highest order.
+def _store(buf, f, index, s):
+    """f, the values at every point, into the requests ``s`` of a ``_by_order``
+    index: rows of the result, or a buffer that ``result[index] = buf`` places."""
+    if len(index) == 1:
+        for row in index[0][s]:
+            buf[row] = f
+    else:
+        buf[s] = f[index[1][s]]
 
-    A point's running sums are rescaled by 1e-280 whenever its value passes
-    1e280.  Normalization is the Neumann sum J_0 + 2 sum J_2k = 1, or, for
-    complex points with |Im z| > 1 where that sum cancels exponentially,
-    cos z = J_0 + 2 sum (-1)^k J_2k.  Every point starts the recurrence at
-    its own index, set by its own |x| and highest order, and a small |z| is
-    not run up from the start that a large |z| needs.
 
-    A step costs a few ufunc calls whatever the number of points, so the
-    loop writes every step into preallocated buffers, in the operation
-    order of the plain expressions and so with their bits, and rescales
-    only when a running bound on |f| passes 1e280.
+def _miller_rows(tops, x, qa, j) -> None:
+    """J at the orders ``qa`` (as in ``_by_order``) at the points of the 1-d
+    array ``x``, into ``j``, by one downward recurrence from each point's own
+    start, set by its |x| and highest order (``tops``).
+
+    Step k stores f into the requests of order k, with the point's count of
+    rescales by 1e-280 once there has been one.  Each value then takes the
+    factors of the rescales since its store, one at a time, and its point's
+    normalization: J_0 + 2 sum J_2k = 1, or, for complex points with
+    |Im z| > 1 where that sum cancels, cos z = J_0 + 2 sum (-1)^k J_2k.  So
+    it gets the operations, and bits, of a table of all orders.  The steps
+    write into preallocated buffers in the order of the plain expressions.
     """
     cplx = x.dtype.kind == "c"
-    out = np.empty((top + 1, x.size), dtype=x.dtype)
     zero = x == 0.0
     if zero.any():
         x = np.where(zero, 1.0, x)
@@ -348,16 +363,19 @@ def _miller_rows(tops, x, top) -> np.ndarray:
     order = np.argsort(start, kind="stable")
     starts, first = np.unique(start[order], return_index=True)
     starts, edges, g = starts.tolist(), first.tolist() + [order.size], len(starts) - 1
+    # from the highest order asked at least: above the starts f is 0
+    top = max(starts[-1], int(qa.max()))
+    index, lo = _by_order(qa, top)
+    vals = j if len(index) == 1 else np.empty(len(index[0]), dtype=x.dtype)
+    # each point's rescale count, and each value's point's count at its store
+    scaled, stored = np.zeros(x.size, dtype=np.int32), None
     # unnormalized J_k and J_{k+1}, two scratch buffers, the two sums
     f, fp, a, b, neumann, cos_norm = (np.zeros(x.size, dtype=x.dtype) for _ in range(6))
     inv_x = 2.0 / x
-    # |f| <= (k+1) max|2/x| |f_{k+1}| + |f_{k+2}|: a bound that spares the
-    # rescale test on the steps where no value can have passed 1e280
+    # |f| <= (k+1) max|2/x| |f_{k+1}| + |f_{k+2}|: a bound that spares most rescale tests
     growth = float(np.max(np.abs(inv_x)))
     bound = bound_p = 0.0
-    # from row top at least: the rows above every start hold the zeros that
-    # the recurrence makes there
-    for k in range(max(starts[-1], top), -1, -1):
+    for k in range(top, -1, -1):
         if g >= 0 and k == starts[g]:
             f[order[edges[g]:edges[g + 1]]] = 1e-30
             bound = max(bound, 1e-30)
@@ -368,25 +386,35 @@ def _miller_rows(tops, x, top) -> np.ndarray:
         np.subtract(b, fp, out=a)
         f, fp, a = a, f, fp
         bound, bound_p = ((k + 1) * growth * bound + bound_p) * (1.0 + 1e-12), bound
-        if k <= top:
-            out[k] = f
+        if lo[k] < lo[k + 1]:
+            _store(vals, f, index, slice(lo[k], lo[k + 1]))
+            if stored is not None:
+                _store(stored, scaled, index, slice(lo[k], lo[k + 1]))
         if k % 2 == 0:
             w = f if k == 0 else np.multiply(2.0, f, out=b)
             np.add(neumann, w, out=neumann)
             if cplx:  # cos_norm + (-w) is cos_norm - w, bit for bit
                 (np.add if k % 4 == 0 else np.subtract)(cos_norm, w, out=cos_norm)
         if bound > 1e280:
-            bound, bound_p = _rescale(k, out, f, fp, neumann, cos_norm)
+            bound, bound_p = _rescale(scaled, f, fp, neumann, cos_norm)
+            stored = np.zeros(vals.shape, dtype=np.int32) if stored is None else stored
+    if stored is not None:  # on the points of a row, or on the requests
+        counts = scaled if len(index) == 1 else scaled[index[1]]
+        hot = np.flatnonzero(counts)
+        v, left = vals[..., hot], counts[hot] - stored[..., hot]
+        for i in range(int(left.max(initial=0))):
+            v[left > i] *= 1e-280
+        vals[..., hot] = v
+    if vals is not j:
+        j[index] = vals
     if cplx:
         use_cos = np.abs(x.imag) > 1.0
-        out *= np.where(use_cos, np.cos(x), 1.0 + 0.0j)
-        out /= np.where(use_cos, cos_norm, neumann)
+        j *= np.where(use_cos, np.cos(x), 1.0 + 0.0j)
+        j /= np.where(use_cos, cos_norm, neumann)
     else:
-        out /= neumann
-    if zero.any():
-        out[:, zero] = 0.0
-        out[0, zero] = 1.0
-    return out
+        j /= neumann
+    if zero.any():  # J_0(0) = 1, J_k(0) = 0
+        np.copyto(j, qa == 0, where=zero)
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,27 +431,22 @@ def _hankel_coefficients() -> np.ndarray:
     return a
 
 
-def _hankel_rows(tops, x, cols, out) -> None:
-    """J_0 .. J_top at the points ``cols`` of the 1-d array ``x``, which have
-    Re x > 0 and |x| >= max(30, 2 tops), written into their columns of the
-    (top + 1, x.size) table ``out``, 0 above each point's highest order.
+def _hankel_rows(tops, x, qa, j) -> None:
+    """J at the orders ``qa`` (as in ``_by_order``) at the points of the 1-d
+    array ``x``, which have Re x > 0 and |x| >= max(30, 2 tops) and come
+    highest order first, into ``j``, 0 above each point's highest order.
 
     J_0 and J_1 come from Hankel's expansion (DLMF 10.17.3),
     J_nu = sqrt(2/(pi x)) (P_nu cos w - Q_nu sin w) with w = x - nu pi/2 - pi/4,
-    and cos w, sin w taken from cos x and sin x.  J_2 .. J_tops follow by
-    forward recurrence.  On the real axis that is stable while the order
-    stays below |x|/2; off it, the Hankel function that J does not follow
-    grows against J by about exp(n^2 |Im x| / (2 |x|^2)) over n steps, and
-    n^2 |Im x| <= 4 |x|^2 keeps that below e^2.  Each point stops at its
-    own highest order, on a prefix of the points sorted by it, so no row
-    above it is ever formed.
+    cos w and sin w from cos x and sin x; forward recurrence stores J_k into
+    the requests of order k, on the prefix of the points with an order k.
+    On the real axis it is stable while the order stays below |x|/2; off it,
+    the Hankel function that J does not follow grows against J by about
+    exp(n^2 |Im x| / (2 |x|^2)) over n steps, below e^2 here.
     """
-    top = out.shape[0] - 1
-    tops = tops[cols]
-    # stable, highest order first; small unsigned keys take numpy's radix sort
-    order = np.argsort((top - tops).astype(np.min_scalar_type(top)), kind="stable")
-    cols, tops = cols[order], tops[order]
-    x = x[cols]
+    top = int(tops[0])
+    index, lo = _by_order(qa, top)
+    vals = j if len(index) == 1 else np.empty(len(index[0]), dtype=x.dtype)
     w = 1.0 / (x * x)
     pq = np.zeros((2, 2, x.size), dtype=x.dtype)
     for coef in _hankel_coefficients():  # Horner in 1/x^2
@@ -435,26 +458,20 @@ def _hankel_rows(tops, x, cols, out) -> None:
     c, s = np.cos(x), np.sin(x)
     cw, sw = math.sqrt(0.5) * (c + s), math.sqrt(0.5) * (s - c)  # cos w, sin w at nu = 0
     amp = np.sqrt(2.0 / (math.pi * x))
-    h = np.zeros((top + 1, x.size), dtype=x.dtype)
-    h[0] = amp * (p0 * cw - q0 * sw)
-    # live[k] points have an order k + 1: a prefix of the sorted points
+    # live[k] points have an order k + 1: a prefix of the points
     live = np.searchsorted(-tops, -np.arange(1, top + 1), side="right")
-    if top >= 1:
-        h[1] = amp * (p1 * sw + q1 * cw)  # w - pi/2 at nu = 1
-        h[1, live[0]:] = 0.0
     inv_x = 2.0 / x
-    for k in range(1, int(tops[0])):
-        n = live[k]
-        h[k + 1, :n] = k * inv_x[:n] * h[k, :n] - h[k - 1, :n]
-    _scatter_rows(out, cols, h)
-
-
-def _j_signed(j, q, *points) -> np.ndarray:
-    """J_q read from the kernel table ``j`` (row k is J_k) at signed orders q,
-    by J_{-k} = (-1)^k J_k; q and the index arrays ``points`` into the other
-    axes of ``j`` broadcast together."""
-    v = j[(np.abs(q),) + points]  # a copy: advanced indexing
-    return np.negative(v, out=v, where=(q < 0) & (q % 2 == 1))
+    # J_{k-1} and J_k, formed on the points with an order k; J_1 at w - pi/2
+    h_prev, h = amp * (p0 * cw - q0 * sw), amp * (p1 * sw + q1 * cw)
+    _store(vals, h_prev, index, slice(lo[0], lo[1]))
+    for k in range(1, top + 1):
+        _store(vals, h, index, slice(lo[k], lo[k + 1]))
+        n = live[k] if k < top else 0
+        h_prev[:n] = k * inv_x[:n] * h[:n] - h_prev[:n]
+        h, h_prev = h_prev, h
+    if vals is not j:
+        j[index] = vals
+    np.copyto(j, 0.0, where=qa > tops)  # orders above a point's highest
 
 
 def bessel_j_many(orders, x) -> dict:
@@ -462,30 +479,14 @@ def bessel_j_many(orders, x) -> dict:
     pass; ``x`` is a real scalar or array."""
     x = np.asarray(x, dtype=float)
     q = np.array([int(n) for n in orders])
-    v = _j_signed(bessel_j_orders(int(np.abs(q).max()), x.ravel()), q[:, None], np.arange(x.size))
-    return {n: row.reshape(x.shape)[()] for n, row in zip(q.tolist(), v)}
+    v = bessel_j_orders(int(np.abs(q).max()), x, q.reshape((-1,) + (1,) * x.ndim))
+    return {n: row[()] for n, row in zip(q.tolist(), v)}
 
 
-def bessel_j(n: int, x: float) -> float:
-    """Bessel J_n(x), integer order."""
-    return bessel_j_many((n,), x)[int(n)]
-
-
-def bessel_j_complex_many(orders, z: np.ndarray) -> np.ndarray:
-    """J_0 .. J_n on an array of complex points from one kernel pass, as the
-    kernel's table (row k is J_k(z)), n the largest of ``orders``.  For a 1-d
-    ``z``, ``orders`` lists the nonnegative orders needed; for a ``z`` of
-    shape (rows, nodes) it has shape (rows, k), the orders each row needs.
-    Each point's recurrence starts from its own |z| and its row's largest
-    order, so a point equals its one-point call with that order bit for bit.
-    This is the rotation backend for modified Bessel functions at complex
-    argument, I_n(z) = i^{-n} J_n(iz).
-    """
-    orders = np.asarray(orders, dtype=int)
-    if orders.min() < 0:
-        raise SpecialFunctionError("bessel_j_complex_many requires n >= 0")
-    return bessel_j_orders(orders.max(axis=-1, keepdims=True),
-                           np.asarray(z, dtype=np.complex128))
+def bessel_j_complex_many(n_max, z, orders) -> np.ndarray:
+    """``bessel_j_orders`` at complex points ``z``: the rotation backend for
+    modified Bessel functions at complex argument, I_n(z) = i^{-n} J_n(iz)."""
+    return bessel_j_orders(n_max, np.asarray(z, dtype=np.complex128), orders)
 
 
 # ----------------------------------------------------------------------

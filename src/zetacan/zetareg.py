@@ -39,10 +39,9 @@ from .besselx import (cross_G_norm_log, representative, small_z_exponent,
 from .numerics import (AsymptoticProfile, ContourSpec, FitError, _scaled_lstsq,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
-from .special import (EULER_GAMMA, _j_signed, _log, bessel_i_log,
-                      bessel_j_complex_many, hurwitz_zeta, hurwitz_zeta_prime,
-                      log_gamma, riemann_zeta, riemann_zeta_prime,
-                      stirling_remainder_r2_sum)
+from .special import (EULER_GAMMA, _log, bessel_i_log, bessel_j_complex_many,
+                      hurwitz_zeta, hurwitz_zeta_prime, log_gamma, riemann_zeta,
+                      riemann_zeta_prime, stirling_remainder_r2_sum)
 
 __all__ = [
     "FamilyComponents",
@@ -206,14 +205,14 @@ def _logp_rows(m: int, nus, z: np.ndarray) -> np.ndarray:
     coefficient l_G > 0 by a sign sigma: -1 on the orders nu >= m+1 and
     (-1)^(nu+m) on the low orders, which the evaluator must carry so that
     p is positive at the contour vertex (the branch anchor).  Row i reads
-    J at orders nu, |nu-m-1|, nu+1 and |nu-m| from the one table J_0 ..
-    J_{m+15} at every node: m + 15 is the highest order that the orders of
+    J at its four orders nu, nu-m-1, nu+1 and nu-m, with the highest order
+    m + 15 at every node: that is the highest order that the orders of
     ``_sum_orders(m)`` read, so a row never depends on the orders sampled
     with it.
     """
     nu = np.array(nus)[:, None]
-    j = bessel_j_complex_many((max(_sum_orders(m)) + 1,), z)
-    a, b, c, d = _j_signed(j, np.stack([nu, nu - m - 1, nu + 1, nu - m]), np.arange(z.size))
+    a, b, c, d = bessel_j_complex_many(max(_sum_orders(m)) + 1, z,
+                                       np.stack([nu, nu - m - 1, nu + 1, nu - m]))
     L = -a * b + c * d
     sigma = np.array([-1.0 if n >= m + 1 else (-1.0) ** (n + m) for n in nus])[:, None]
     e = np.array([small_z_exponent(n, m) for n in nus])[:, None]

@@ -8,7 +8,7 @@ from scipy.special import jn_zeros, jnp_zeros
 
 from zetacan import besselx as bx
 from zetacan.numerics import BracketError, adaptive_quad, zero_tail_sum
-from zetacan.special import bessel_j, bessel_j_many
+from zetacan.special import bessel_j_many
 
 
 class TestZeroTables:
@@ -102,6 +102,23 @@ class TestCrossProducts:
         for x in (0.5, 4.0, 33.0):
             assert bx.cross_G_log(1, 3, x) == pytest.approx(
                 bx.cross_G_log(2, 3, x), rel=1e-13)
+
+    def test_many_orders_stay_small(self):
+        # 40,000 points with n over 0..250 ask the kernel for 8 orders each;
+        # a table of every order up to the call's highest (253 x 40,000
+        # values, 81 MB) is never built
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        n, x = rng.integers(0, 251, 40_000), rng.uniform(0.5, 250.0, 40_000)
+        tracemalloc.start()
+        try:
+            L = bx.cross_L(n, 6, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(L))
+        assert peak < 20e6, peak
 
     @pytest.mark.parametrize("nu,m", [(3, 0), (4, 1), (3, 2), (2, 3)])
     def test_parity(self, nu, m):
@@ -417,7 +434,7 @@ class TestEigenNorm:
         # int_0^1 x J_n(a x)^2 dx = (1/2) J_n'(a)^2 at a = j_{n,1}
         for n in (1, 3):
             a = float(bx.bessel_j_zeros(n, 1)[0])
-            val = adaptive_quad(lambda x: x * bessel_j(n, a * x) ** 2, 0.0, 1.0)
+            val = adaptive_quad(lambda x: x * bessel_j_many((n,), a * x)[n] ** 2, 0.0, 1.0)
             v = bessel_j_many((n - 1, n + 1), a)
             jp = 0.5 * (v[n - 1] - v[n + 1])
             assert val == pytest.approx(0.5 * jp ** 2, rel=1e-10)
@@ -432,9 +449,9 @@ class TestEigenNorm:
         def radial(r):
             # J_nu(lam r) inside, the matched J_{nu-m}(lam/r) branch outside
             if r <= 1.0:
-                return bessel_j(nu, lam * r)
-            return (bessel_j(nu, lam) / bessel_j(nu - m, lam) * r ** m
-                    * bessel_j(nu - m, lam / r))
+                return bessel_j_many((nu,), lam * r)[nu]
+            return (bessel_j_many((nu,), lam)[nu] / bessel_j_many((nu - m,), lam)[nu - m] * r ** m
+                    * bessel_j_many((nu - m,), lam / r)[nu - m])
 
         assert radial(1.0 - 1e-9) == pytest.approx(radial(1.0 + 1e-9), abs=1e-7)
         phi = np.vectorize(radial)
@@ -444,7 +461,7 @@ class TestEigenNorm:
                                 0.0, 1.0))
         assert norm > 0.0
         lhs, rhs = bx.eigen_norm_check(nu, m, lam)
-        ja = bessel_j(nu, lam)
-        jb = bessel_j(nu - m, lam)
+        ja = bessel_j_many((nu,), lam)[nu]
+        jb = bessel_j_many((nu - m,), lam)[nu - m]
         assert 2.0 * (jb / ja) * norm == pytest.approx(rhs, rel=1e-9)
         assert lhs == pytest.approx(rhs, rel=1e-7)

@@ -175,7 +175,7 @@ def test_routes_suite_samples_each_twist_degree_once(monkeypatch):
     calls = []
     kernel = zetareg.bessel_j_complex_many
     monkeypatch.setattr(zetareg, "bessel_j_complex_many",
-                        lambda orders, z: calls.append(orders) or kernel(orders, z))
+                        lambda *args: calls.append(args) or kernel(*args))
     monkeypatch.setattr(zetareg, "_CONTOUR_SAMPLES", {})
     assert all(r.passed for r in verify.run_suite("routes"))
     assert len(calls) == 3
@@ -201,8 +201,8 @@ class TestExitCodes:
     def test_non_finite_contour_exits_3(self, monkeypatch, capsys):
         from zetacan import zetareg
 
-        def nan_kernel(orders, z):
-            return np.full((max(orders) + 1, z.size), np.nan + 0j)
+        def nan_kernel(n_max, z, orders):
+            return np.full(np.broadcast_shapes(orders.shape, z.shape), np.nan + 0j)
 
         monkeypatch.setattr(zetareg, "bessel_j_complex_many", nan_kernel)
         zetareg._CONTOUR_SAMPLES.clear()

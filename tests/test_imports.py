@@ -1,0 +1,39 @@
+"""Every name that a module of the package imports is read in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+MODULES = sorted((Path(__file__).parent.parent / "src" / "zetacan").glob("*.py"))
+
+
+def unread_imports(source: str) -> list:
+    """The names that ``source`` binds by an import and never reads; a name
+    listed in the module's ``__all__`` counts as read, since it re-exports
+    it."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {e.value for e in node.value.elts}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_read(path):
+    assert unread_imports(path.read_text()) == []
+
+
+def test_an_unread_import_is_found():
+    source = ("from .special import _log, bessel_j_orders\nimport math\n"
+              "__all__ = ['bessel_j_orders']\ndef f(x):\n    return math.pi * x\n")
+    assert unread_imports(source) == ["_log"]

@@ -18,6 +18,11 @@ The kernel now evaluates large arguments by Hankel's expansion instead
 (``tests/test_special.py`` checks that regime against scipy and against
 Miller), so the bits are compared on the points that keep the Miller
 recurrence, ``_miller_points`` below.
+
+The kernel now returns only the orders each point asks for; it is compared
+here through a request of every order 0 .. max(n_max), which must give the
+reference's whole table, and a request of fewer orders must give the same
+entries of a whole request bit for bit.
 """
 
 import math
@@ -119,6 +124,13 @@ def _ref_bessel_j_orders(n_max, x):
 # Bit-for-bit comparison on seeded inputs
 # ----------------------------------------------------------------------
 
+def _kernel(n_max, x):
+    """The kernel's request of every order 0 .. max(n_max) at every point."""
+    x = np.asarray(x)
+    orders = np.arange(int(np.max(n_max)) + 1).reshape((-1,) + (1,) * x.ndim)
+    return sp.bessel_j_orders(n_max, x, orders)
+
+
 def _miller_points(n_max, x):
     """The points of x that keep the Miller recurrence: all but those with
     Re x > 0, |x| >= max(30, 2 top) and top^2 |Im x| <= 4 |x|^2."""
@@ -129,7 +141,7 @@ def _miller_points(n_max, x):
 
 
 def _assert_same_bits(n_max, x):
-    got = sp.bessel_j_orders(n_max, x)
+    got = _kernel(n_max, x)
     want = _ref_bessel_j_orders(n_max, x)
     assert got.dtype == want.dtype and got.shape == want.shape
     keep = _miller_points(n_max, x)
@@ -149,7 +161,7 @@ def _assert_points_take_their_one_point_rows(n_max, z):
     # a reference call on z reshaped to (points, 1) runs every point as its
     # own one-point row (test_reshape_is_one_point_calls checks this)
     z = np.asarray(z)
-    got = sp.bessel_j_orders(n_max, z)
+    got = _kernel(n_max, z)
     want = _ref_bessel_j_orders(np.broadcast_to(n_max, z.shape).reshape(-1, 1),
                                 z.reshape(-1, 1))[..., 0]
     assert got.shape == (want.shape[0],) + z.shape
@@ -201,7 +213,7 @@ def test_complex_scalar_takes_its_one_point_row(z):
     # arithmetic, whose complex products can round apart from the array
     # loops that every array input goes through; the kernel now gives a
     # scalar the bits of its one-point row
-    got = sp.bessel_j_orders(3, z)
+    got = _kernel(3, z)
     want = _ref_bessel_j_orders(3, np.array([z]))[:, 0]
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -238,3 +250,34 @@ def test_contour_like_points():
     _assert_points_take_their_one_point_rows(tops, z)
     for i, (*_, top) in enumerate(rows):
         _assert_points_take_their_one_point_rows(top, z[i])
+
+
+def _assert_subset_bits(n_max, x, orders):
+    # a request of ``orders`` against one request of every signed order
+    x = np.asarray(x)
+    top = int(np.max(n_max))
+    every = sp.bessel_j_orders(n_max, x, np.arange(-top, top + 1).reshape((-1,) + (1,) * x.ndim))
+    got = sp.bessel_j_orders(n_max, x, orders)
+    want = np.take_along_axis(every, np.broadcast_to(orders, got.shape) + top, axis=0)
+    assert np.array_equal(_bits(got), _bits(want))
+    return got
+
+
+def test_subset_request_takes_whole_request_bits():
+    # the real points of test_real_small_x_many_rescales, which rescale many
+    # times, at random signed orders up to each point's own
+    rng = np.random.default_rng(4)
+    x = 10.0 ** rng.uniform(-3.0, 0.0, 50)
+    tops = np.where(rng.random(x.size) < 0.5, 60, 3)
+    _assert_subset_bits(60, x, rng.integers(-60, 61, (3, x.size)))
+    _assert_subset_bits(tops, x, rng.integers(-tops, tops + 1, (3, x.size)))
+    # x = 0 and -0: J_k(0) is 0.0, and -0.0 at odd negative k
+    got = _assert_subset_bits(7, np.array([0.0, -0.0]), np.array([[-1, -3], [-7, 0], [2, -4]]))
+    assert np.array_equal(_bits(got), _bits(np.array([[-0.0, -0.0], [-0.0, 1.0], [0.0, 0.0]])))
+    # the complex points of test_contour_like_points, one top per row
+    t = np.linspace(0.0, 1.0, 400) * np.exp(1j * math.pi / 8.0)
+    rows = [(0.5, 3.0, 1), (0.8, 40.0, 7), (2.0, 120.0, 20), (5.0, 300.0, 33),
+            (0.5, 300.0, 64)]
+    z = np.array([c + length * t for c, length, _ in rows])
+    tops = np.array([[top] for *_, top in rows])
+    _assert_subset_bits(tops, z, rng.integers(-tops, tops + 1, (4,) + z.shape))

@@ -352,9 +352,9 @@ class TestContourSampleCache:
         calls = []
         rescale = special._rescale
 
-        def counted(k, out, f, *rest):
+        def counted(scaled, f, *rest):
             calls.append(f.dtype.kind == "c")
-            return rescale(k, out, f, *rest)
+            return rescale(scaled, f, *rest)
 
         for key in [k for k in zr._CONTOUR_SAMPLES if k[1] == 1]:
             monkeypatch.delitem(zr._CONTOUR_SAMPLES, key)
@@ -390,7 +390,8 @@ class TestContourSampleCache:
         calls = []
         kernel = zr.bessel_j_complex_many
         monkeypatch.setattr(zr, "bessel_j_complex_many",
-                            lambda orders, z: calls.append(z.shape) or kernel(orders, z))
+                            lambda n_max, z, orders: calls.append(z.shape)
+                            or kernel(n_max, z, orders))
         monkeypatch.setattr(zr, "_CONTOUR_SAMPLES", {})
         for m in (3, 10, 24):
             zr.z_m_values(m, "contour")
