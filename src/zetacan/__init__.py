@@ -11,36 +11,34 @@ determinants; the two pipelines agree:
     zeta(0)  = -2/3 - m/2,
     zeta'(0) = 4 zeta'_Q(-1) - 1/6 - log((m+2)^{m+1} / ((m+1)!)^2) = T_g(m).
 
-numpy loads on first use: the package registers it in ``sys.modules``
-through ``importlib.util.LazyLoader`` (unless it is already imported), and
-every module takes ``np`` from here, so a command that never touches an
-array (``--help``, ``torsion``, the closed ``zeta`` route) never loads it.
+Importing the package executes no module but this one.  ``_lazy`` registers
+numpy and the package's modules in ``sys.modules`` through
+``importlib.util.LazyLoader`` (numpy only when it is not already imported),
+and a module executes on its first attribute access.  So a command runs only
+the modules on its own call path: ``--help`` none, ``torsion`` ``special``,
+``numerics`` and ``torsion``, and only the array routes load numpy.  Every
+module takes ``np`` from here.  ``cli`` is not registered, so that
+``python -m zetacan.cli`` executes it itself.
 """
 
 import importlib.util
 import sys
 
 
-def _lazy_numpy():
-    if "numpy" in sys.modules:
-        return sys.modules["numpy"]
-    spec = importlib.util.find_spec("numpy")
+def _lazy(name):
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
-    sys.modules["numpy"] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-np = _lazy_numpy()
-
-from .besselx import spectrum, zeros
-from .torsion import torsion_g
-from .zetareg import dirichlet_neumann_block, zeta_canonical
+np = _lazy("numpy")
+special, numerics, besselx, zetareg, torsion, verify = (
+    _lazy(f"{__name__}.{name}")
+    for name in ("special", "numerics", "besselx", "zetareg", "torsion", "verify"))
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "zeros", "spectrum", "zeta_canonical",
-    "dirichlet_neumann_block", "torsion_g", "__version__",
-]

@@ -53,6 +53,7 @@ __all__ = [
     "gram_entry",
     "gram_entry_closed",
     "gram_det_closed",
+    "zeta_canonical_closed_form",
     "bott_chern_ch_deg0",
     "bott_chern_td_deg0",
     "quillen_fs_log",
@@ -105,6 +106,14 @@ def gram_entry_closed(m: int, k: int) -> Fraction:
 def gram_det_closed(m: int) -> Fraction:
     """(m+2)^{m+1} / ((m+1)!)^2 = prod_k gram_entry_closed(m, k), exact."""
     return Fraction((m + 2) ** (m + 1), math.factorial(m + 1) ** 2)
+
+
+def zeta_canonical_closed_form(m: int):
+    """The theorem's closed forms, assembled independently of the blocks."""
+    zeta0 = Fraction(-2, 3) - Fraction(m, 2)
+    log_gram = (m + 1) * math.log(m + 2.0) - 2.0 * log_gamma(m + 2.0)
+    zeta0_prime = 4.0 * riemann_zeta_prime(-1.0) - 1.0 / 6.0 - log_gram
+    return zeta0, zeta0_prime
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +206,6 @@ def torsion_g(m: int) -> TorsionReport:
     tg_closed = -quillen_canonical_log(m, "closed") - logdet_closed
     tg_quad = (-quillen_canonical_log(m, "quadrature")
                - math.fsum(math.log(gram_entry(m, k)) for k in range(m + 1)))
-    from .zetareg import zeta_canonical_closed_form
-
     _, zeta0_prime = zeta_canonical_closed_form(m)
     return TorsionReport(
         m=m,

@@ -282,7 +282,7 @@ def suite_constants():
                           1e-7))
     for m in range(7):
         rep = zetareg.zeta_canonical(m)
-        t0, t0p = zetareg.zeta_canonical_closed_form(m)
+        t0, t0p = torsion.zeta_canonical_closed_form(m)
         out.append(_check_true(
             f"constants: zeta(0) m={m} exact", rep.zeta0_exact == t0,
             f"{rep.zeta0_exact}"))

@@ -462,14 +462,6 @@ def zeta_canonical(m: int, route: str = "closed",
     )
 
 
-def zeta_canonical_closed_form(m: int):
-    """The theorem's closed forms, assembled independently of the blocks."""
-    zeta0 = Fraction(-2, 3) - Fraction(m, 2)
-    log_gram = (m + 1) * math.log(m + 2.0) - 2.0 * log_gamma(m + 2.0)
-    zeta0_prime = 4.0 * riemann_zeta_prime(-1.0) - 1.0 / 6.0 - log_gram
-    return zeta0, zeta0_prime
-
-
 # ----------------------------------------------------------------------
 # m = 0: Dirichlet / Neumann split
 # ----------------------------------------------------------------------

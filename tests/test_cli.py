@@ -101,8 +101,9 @@ class TestVerifyCommand:
         assert "PASS" in out and "FAIL" not in out
 
     def test_unknown_suite_rejected(self):
-        code, *_ = run_cli("verify", "--suite", "nope")
+        code, _, err = run_cli("verify", "--suite", "nope")
         assert code == 2
+        assert all(repr(name) in err for name in verify.SUITES)
 
     def test_format_option_rejected(self, capsys):
         assert cli.main(["verify", "--suite", "quadrature", "--format", "csv"]) == 2
@@ -255,6 +256,39 @@ class TestImports:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stderr == "(True, False)"
+
+    @pytest.mark.parametrize("argv, executed", [
+        (["--help"], []),
+        (["torsion", "--m", "6"], ["special", "numerics", "torsion"]),
+        (["spectrum", "--m", "2", "--n-max", "2", "--k-max", "3"],
+         ["special", "numerics", "besselx"]),
+        (["zeta", "--m", "3", "--check-routes", "profile,contour"],
+         ["special", "numerics", "besselx", "zetareg"]),
+        (["verify", "--suite", "all"],
+         ["special", "numerics", "besselx", "zetareg", "torsion", "verify"]),
+    ])
+    def test_command_executes_only_its_modules(self, argv, executed):
+        # the package registers its modules lazily; one that has not executed
+        # is not yet a plain module, and the type check does not execute it
+        code = ("import sys, types; from zetacan.cli import main; rc = main(sys.argv[1:]); "
+                "sys.stderr.write(' '.join(sorted(n for n, m in sys.modules.items() "
+                "if n.split('.')[0] == 'zetacan' and type(m) is types.ModuleType))); "
+                "sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr.split() == sorted(
+            ["zetacan", "zetacan.cli"] + [f"zetacan.{m}" for m in executed])
+
+    def test_executing_every_module_does_not_load_numpy(self):
+        code = ("import sys, types, zetacan.cli, zetacan.special, zetacan.numerics, "
+                "zetacan.besselx, zetacan.zetareg, zetacan.torsion, zetacan.verify; "
+                "mods = [m for n, m in sys.modules.items() if n.split('.')[0] == 'zetacan']; "
+                "sys.stderr.write(repr((len(mods), all(type(m) is types.ModuleType "
+                "for m in mods), 'numpy._core' in sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == "(8, True, False)"
 
 
 class TestSerialization:

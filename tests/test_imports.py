@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is read in that module."""
+"""Every name that a module of the package imports is read in that module,
+and no function imports from the package."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,24 @@ def test_an_unread_import_is_found():
     source = ("from .special import _log, bessel_j_orders\nimport math\n"
               "__all__ = ['bessel_j_orders']\ndef f(x):\n    return math.pi * x\n")
     assert unread_imports(source) == ["_log"]
+
+
+def function_relative_imports(source: str) -> list:
+    """The lines of ``source`` where a function imports from the package."""
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level >= 1})
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_imports_from_the_package(path):
+    # the package registers its modules lazily: to defer a module's execution,
+    # bind it by ``from . import mod`` at module level and read ``mod.name``
+    assert function_relative_imports(path.read_text()) == []
+
+
+def test_a_function_import_from_the_package_is_found():
+    source = ("from . import np\nimport math\ndef f(x):\n"
+              "    from .zetareg import g\n    return g(x) + math.pi\n")
+    assert function_relative_imports(source) == [4]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zetacan import special
+from zetacan import special, torsion
 from zetacan import zetareg as zr
 from zetacan.special import EULER_GAMMA, riemann_zeta_prime
 
@@ -234,7 +234,7 @@ class TestCanonical:
     @pytest.mark.parametrize("m", range(7))
     def test_closed_matches_theorem(self, m):
         rep = zr.zeta_canonical(m)
-        t0, t0p = zr.zeta_canonical_closed_form(m)
+        t0, t0p = torsion.zeta_canonical_closed_form(m)
         assert rep.zeta0_exact == t0
         assert rep.zeta0_prime == pytest.approx(t0p, abs=1e-12)
         assert rep.det_reg == pytest.approx(math.exp(-rep.zeta0_prime))
