@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import np
 from .numerics import BracketError, newton_brackets
@@ -71,8 +71,7 @@ __all__ = [
 # Containers
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpectralSequence:
+class SpectralSequence(NamedTuple):
     """Ordered positive zeros of one cross product L_n (twist degree m, n the
     representative max(n, m - n) of its symmetry class), with |L_n| at each
     zero and the local scale of |L_n| (its larger value at the two
@@ -86,8 +85,7 @@ class SpectralSequence:
     local_scales: np.ndarray
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
+class SpectrumEntry(NamedTuple):
     eigenvalue: float
     multiplicity: int
     order: int
@@ -96,8 +94,7 @@ class SpectrumEntry:
     residual: float
 
 
-@dataclass
-class Spectrum:
+class Spectrum(NamedTuple):
     """Sorted eigenvalues lambda^2/4 of the singular Laplacian on O(m).
 
     The zero eigenvalue carries the harmonic multiplicity m + 1 and is

@@ -107,7 +107,7 @@ def cmd_zeta(args) -> int:
         if args.check_routes else ()
     rep = zetareg.zeta_canonical(args.m, route=args.route, check_routes=check)
     doc = {"schema": SCHEMA, "kind": "zeta"}
-    doc.update(rep.as_dict())
+    doc.update(rep._asdict())
     return _report(args, doc, ["m", "zeta0", "zeta0_prime", "det_reg", "route"],
                    [[args.m, format(rep.zeta0, ".17g"), format(rep.zeta0_prime, ".17g"),
                      format(rep.det_reg, ".17g"), rep.route]])
@@ -116,7 +116,7 @@ def cmd_zeta(args) -> int:
 def cmd_torsion(args) -> int:
     rep = torsion.torsion_g(args.m)
     doc = {"schema": SCHEMA, "kind": "torsion"}
-    doc.update(rep.as_dict())
+    doc.update(rep._asdict())
     return _report(args, doc, ["m", "Tg", "zeta0_prime", "discrepancy"],
                    [[args.m, format(rep.Tg, ".17g"), format(rep.zeta0_prime, ".17g"),
                      format(rep.discrepancy, ".3e")]])

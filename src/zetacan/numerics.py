@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import np
 from .special import hurwitz_zeta
@@ -180,8 +180,7 @@ def adaptive_quad(f, a: float, b: float) -> float:
 # Asymptotic profiles
 # ----------------------------------------------------------------------
 
-@dataclass
-class AsymptoticProfile:
+class AsymptoticProfile(NamedTuple):
     """Coefficients of g(z) ~ d z + a log(z^2) + b + c1/z (+ ...).
 
     When g is minus the log of a normalized zero product
@@ -271,8 +270,12 @@ def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
 _PHASE = complex(math.cos(math.pi / 8.0), math.sin(math.pi / 8.0))
 
 
-@dataclass
-class ContourSpec:
+class _Contour(NamedTuple):
+    c: float
+    truncation_radius: float
+
+
+class ContourSpec(_Contour):
     """The wedge contour Lambda_c = { |arg(z - c)| = pi/8 }.
 
     ``c`` must lie strictly between 0 and the smallest zero of every
@@ -280,14 +283,14 @@ class ContourSpec:
     which then share its nodes.  ``truncation_radius`` is where numeric
     panels stop and the fitted asymptotic tail takes over.
     """
-    c: float
-    truncation_radius: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.c > 0.0):
+    def __new__(cls, c: float, truncation_radius: float):
+        if not (c > 0.0):
             raise ValueError("contour vertex c must be positive")
-        if self.truncation_radius <= 1.0:
+        if truncation_radius <= 1.0:
             raise ValueError("truncation radius too small")
+        return super().__new__(cls, c, truncation_radius)
 
     def ray_nodes(self):
         """Gauss-Legendre nodes/weights on the upper ray, ordered by r."""
@@ -323,8 +326,8 @@ def _ray_layout(radius: float):
 
 
 def _eval_logp(logp, z: np.ndarray) -> np.ndarray:
-    """The samples ``logp`` of log p at the ray nodes z, one product per row of
-    a 2-d ``logp``, their imaginary part made continuous along the ray;
+    """The samples ``logp`` of log p at the ray nodes z, one product (1-d) or
+    one per row (2-d), their imaginary part made continuous along the ray;
     ValueError when there is not one sample per node, QuadratureError when a
     sample is not finite."""
     vals = np.asarray(logp, dtype=np.complex128)

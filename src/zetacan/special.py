@@ -129,26 +129,15 @@ def stirling_remainder_r2_sum(s: float) -> float:
 # ----------------------------------------------------------------------
 
 def _em_corrections(s: float):
-    """(j, B_2j / (2j)!, s (s+1) ... (s+2j-2)) for j = 1 .. _EM_CORRECTIONS,
-    the rising factorial as a running product, its factors in their order."""
-    p = 1.0
+    """(j, B_2j / (2j)!, p, dp/ds) for j = 1 .. _EM_CORRECTIONS, where
+    p = s (s+1) ... (s+2j-2) is the rising factorial as a running product,
+    its factors in their order, and dp/ds its running product-rule
+    derivative (sound also where a factor vanishes)."""
+    p, dp = 1.0, 0.0
     for j, b in enumerate(_EM_COEFS, start=1):
-        if j > 1:
-            p *= s + (2 * j - 3)
-        p *= s + (2 * j - 2)
-        yield j, b, p
-
-
-def _pochhammer_prime(s: float, m: int) -> float:
-    # d/ds prod_{i<m} (s+i), stable also when one factor vanishes
-    total = 0.0
-    for i in range(m):
-        p = 1.0
-        for j in range(m):
-            if j != i:
-                p *= s + j
-        total += p
-    return total
+        for i in range(max(2 * j - 3, 0), 2 * j - 1):
+            p, dp = p * (s + i), dp * (s + i) + p
+        yield j, b, p, dp
 
 
 @functools.lru_cache(maxsize=1024, typed=True)
@@ -173,7 +162,7 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
         acc = t
     w = _EM_TERMS + a
     acc += w ** (1.0 - s) / (s - 1.0) + 0.5 * w ** (-s)
-    for j, b, p in _em_corrections(s):
+    for j, b, p, _ in _em_corrections(s):
         acc += b * p * w ** (-s - 2 * j + 1)
     return acc
 
@@ -198,8 +187,8 @@ def hurwitz_zeta_prime(s: float, a: float = 1.0) -> float:
     lw = math.log(w)
     acc += w ** (1.0 - s) * (-lw / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
     acc += -0.5 * lw * w ** (-s)
-    for j, b, p in _em_corrections(s):
-        acc += b * w ** (-s - 2 * j + 1) * (_pochhammer_prime(s, 2 * j - 1) - p * lw)
+    for j, b, p, dp in _em_corrections(s):
+        acc += b * w ** (-s - 2 * j + 1) * (dp - p * lw)
     return acc
 
 

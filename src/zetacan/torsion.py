@@ -39,8 +39,8 @@ independent of the spectral route, which it must (and does) match.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .numerics import adaptive_quad
 from .special import log_gamma, riemann_zeta_prime
@@ -172,8 +172,7 @@ def quillen_canonical_log(m: int, route: str = "closed") -> float:
     return quillen_fs_log(m) - quillen_anomaly(m, route)
 
 
-@dataclass
-class TorsionReport:
+class TorsionReport(NamedTuple):
     m: int
     gram_entries: list
     gram_det: float
@@ -185,9 +184,6 @@ class TorsionReport:
     Tg_quadrature: float
     zeta0_prime: float
     discrepancy: float
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def torsion_g(m: int) -> TorsionReport:

@@ -6,8 +6,8 @@ prints one line per check and exits non-zero when anything fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import besselx, np, torsion, zetareg
 from .numerics import (ContourSpec, adaptive_quad, mellin_contour_zeta,
@@ -20,8 +20,7 @@ from .special import (EULER_GAMMA, _asymptotic_i_log, _series_i_log, bessel_i_lo
 __all__ = ["CheckResult", "SUITES", "run_suite", "format_results"]
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

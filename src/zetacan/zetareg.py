@@ -30,8 +30,8 @@ Values at 0 are kept in exact rational arithmetic where they are rational.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import besselx, np
 from .besselx import (cross_G_norm_log, representative, small_z_exponent,
@@ -76,8 +76,7 @@ _LOG2PI = math.log(2.0 * math.pi)
 # Containers
 # ----------------------------------------------------------------------
 
-@dataclass
-class FamilyComponents:
+class FamilyComponents(NamedTuple):
     """Component values at s = 0 for the order >= m+1 family."""
     m: int
     A0: float
@@ -88,34 +87,19 @@ class FamilyComponents:
     eta0: float
     gamma_k_0: list
 
-    def as_dict(self) -> dict:
-        return asdict(self)
 
-
-@dataclass
-class RegularizationReport:
+class RegularizationReport(NamedTuple):
+    """``components`` is ``family_components(m)._asdict()``; ``routes`` maps
+    each route to its (zeta(0), zeta'(0))."""
     m: int
     zeta0_exact: Fraction
     zeta0: float
     zeta0_prime: float
     det_reg: float
-    components: FamilyComponents
     route: str
+    components: dict
     routes: dict
     discrepancies: dict
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "zeta0_exact": str(self.zeta0_exact),
-            "zeta0": self.zeta0,
-            "zeta0_prime": self.zeta0_prime,
-            "det_reg": self.det_reg,
-            "route": self.route,
-            "components": self.components.as_dict(),
-            "routes": {k: list(v) for k, v in self.routes.items()},
-            "discrepancies": dict(self.discrepancies),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -455,8 +439,8 @@ def zeta_canonical(m: int, route: str = "closed",
         zeta0=float(z0_exact),
         zeta0_prime=zeta0_prime,
         det_reg=math.exp(-zeta0_prime),
-        components=family_components(m),
         route=route,
+        components=family_components(m)._asdict(),
         routes=routes,
         discrepancies=discrepancies,
     )
@@ -466,8 +450,7 @@ def zeta_canonical(m: int, route: str = "closed",
 # m = 0: Dirichlet / Neumann split
 # ----------------------------------------------------------------------
 
-@dataclass
-class DirichletNeumannBlock:
+class DirichletNeumannBlock(NamedTuple):
     """Zeta values of the two order-sum blocks of the trivial bundle.
 
     zeta_D runs over all J zeros (multiplicity 2 for n >= 1), zeta_N over

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -198,10 +197,10 @@ class TestBatchedSequences:
 
     @staticmethod
     def _assert_same(got, want, label):
-        for field in dataclasses.fields(bx.SpectralSequence):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            assert (a == b) if field.name in ("n", "m") else np.array_equal(a, b), \
-                (label, field.name)
+        for field in bx.SpectralSequence._fields:
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a == b) if field in ("n", "m") else np.array_equal(a, b), \
+                (label, field)
 
     @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 30])
     @pytest.mark.parametrize("K", [1, 8, 50])
@@ -320,7 +319,7 @@ class TestSequenceMemo:
         for a in (seq.zeros, seq.residuals, seq.local_scales):
             with pytest.raises(ValueError):
                 a[0] = 0.0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             seq.zeros = seq.zeros.copy()
 
 

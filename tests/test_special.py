@@ -88,7 +88,8 @@ class TestZeta:
         # the Euler-Maclaurin corrections as they were written before their
         # coefficients became module constants: each Bernoulli number
         # converted and divided on every call, each rising factorial
-        # multiplied out from 1
+        # multiplied out from 1 and its derivative carried along by the
+        # product rule
         def coef(j):
             return float(sp._BERNOULLI[2 * j]) / math.factorial(2 * j)
 
@@ -114,7 +115,17 @@ class TestZeta:
                 acc += coef(j) * rising(s, 2 * j - 1) * w ** (-s - 2 * j + 1)
             return acc
 
-        def hurwitz_prime(s, a):
+        def rising_prime(s, m):
+            p, dp = 1.0, 0.0
+            for i in range(m):
+                p, dp = p * (s + i), dp * (s + i) + p
+            return dp
+
+        def rising_prime_of_others(s, m):
+            # d/ds prod_{i<m} (s+i) as the sum of the products of the others
+            return sum(math.prod(s + j for j in range(m) if j != i) for i in range(m))
+
+        def hurwitz_prime(s, a, drising=rising_prime):
             acc, w = head(s, a, lambda v: -math.log(v) * v ** (-s))
             lw = math.log(w)
             acc += w ** (1.0 - s) * (-lw / (s - 1.0) - 1.0 / (s - 1.0) ** 2)
@@ -122,7 +133,7 @@ class TestZeta:
             for j in range(1, sp._EM_CORRECTIONS + 1):
                 m = 2 * j - 1
                 acc += coef(j) * w ** (-s - 2 * j + 1) * (
-                    sp._pochhammer_prime(s, m) - rising(s, m) * lw)
+                    drising(s, m) - rising(s, m) * lw)
             return acc
 
         def digamma(x):
@@ -137,6 +148,9 @@ class TestZeta:
             s, a = float(s), float(a)
             assert sp.hurwitz_zeta.__wrapped__(s, a) == hurwitz(s, a), (s, a)
             assert sp.hurwitz_zeta_prime.__wrapped__(s, a) == hurwitz_prime(s, a), (s, a)
+            # the running derivative agrees with the sum of products of the others
+            assert hurwitz_prime(s, a, rising_prime_of_others) == pytest.approx(
+                hurwitz_prime(s, a), rel=1e-14, abs=0.0), (s, a)
             assert sp._digamma(a) == digamma(a), a
         for s in (-12.0, -2.0, -1.0, 0.0, 2.0, 3.0):  # integer s, factors of 0 included
             assert sp.hurwitz_zeta.__wrapped__(s, 1.0) == hurwitz(s, 1.0), s

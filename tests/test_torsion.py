@@ -132,7 +132,7 @@ class TestTorsion:
 
     def test_report_fields(self):
         rep = tor.torsion_g(2)
-        doc = rep.as_dict()
+        doc = rep._asdict()
         assert doc["gram_det"] == pytest.approx(float(tor.gram_det_closed(2)))
         assert len(doc["gram_entries"]) == 3
         assert doc["quillen_can_log"] == pytest.approx(1.0 / 6.0 - 4.0 * ZP1)

@@ -1,10 +1,11 @@
+import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from zetacan import special, torsion
+from zetacan import cli, special, torsion
 from zetacan import zetareg as zr
 from zetacan.special import EULER_GAMMA, riemann_zeta_prime
 
@@ -265,7 +266,8 @@ class TestCanonical:
         assert rep.discrepancies["contour"] <= 1e-6
 
     def test_report_serializable(self):
-        doc = zr.zeta_canonical(1, check_routes=("profile",)).as_dict()
+        rep = zr.zeta_canonical(1, check_routes=("profile",))
+        doc = json.loads(cli.dumps(rep._asdict()))
         assert doc["zeta0_exact"] == "-7/6"
         assert set(doc["routes"]) == {"closed", "profile"}
 
