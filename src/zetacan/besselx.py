@@ -209,12 +209,13 @@ def cross_L_prime(n, m, x):
     return _cross_L_pair(n, m, x)[1]
 
 
-def cross_G_log(n: int, m: int, x):
+def cross_G_log(n, m: int, x):
     """log G_n(x), G_n = I_{n+1} I_{n-m} + I_n I_{n-m-1}, at x > 0 (scalar or
-    array).  Every factor is positive for integer order: the four orders
-    come from one ``bessel_i_log`` call, the two products add in log space."""
-    x = np.asarray(x, dtype=float)
-    a, b, c, d = bessel_i_log(np.reshape([n + 1, n - m, n, n - m - 1], (4,) + (1,) * x.ndim), x)
+    array); the order n is an integer or an integer array broadcast against
+    x.  Every factor is positive for integer order: the four orders come from
+    one ``bessel_i_log`` call, the two products add in log space."""
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    a, b, c, d = bessel_i_log(np.stack([n + 1, n - m, n, n - m - 1]), x)
     return np.logaddexp(a + b, c + d)
 
 
@@ -243,13 +244,17 @@ def small_z_log_coefficient(n: int, m: int) -> float:
     return math.log(l.numerator) - math.log(l.denominator)
 
 
-def cross_G_norm_log(n: int, m: int, x):
-    """log of G_n(x) / (l x^e): the normalized product prod (1 + x^2/lambda_k^2).
+def cross_G_norm_log(n, m: int, x):
+    """log of G_n(x) / (l x^e): the normalized product prod (1 + x^2/lambda_k^2);
+    n as for ``cross_G_log``, each order with its own l and e (int(k): the
+    factorials of l overflow numpy's int64).
 
     Minus this function has the asymptotic profile whose (a, b) encode
     zeta(0) and zeta'(0) of the zero sequence.
     """
-    return cross_G_log(n, m, x) - small_z_log_coefficient(n, m) - small_z_exponent(n, m) * _log(x)
+    log_l = np.vectorize(lambda k: small_z_log_coefficient(int(k), m))(n)
+    e = np.vectorize(lambda k: small_z_exponent(int(k), m))(n)
+    return cross_G_log(n, m, x) - log_l - e * _log(x)
 
 
 # ----------------------------------------------------------------------

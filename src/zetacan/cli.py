@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import sys
 
@@ -188,20 +189,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (numerics.BracketError, numerics.QuadratureError, numerics.FitError,
-            ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:  # OSError: an unwritable --out path
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
+        try:
+            return args.func(args)
+        except (numerics.BracketError, numerics.QuadratureError, numerics.FitError,
+                ArithmeticError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 3
+        except (ValueError, OSError) as exc:  # OSError: an unwritable --out path
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+    finally:
+        # exit's full collections then skip every object alive now (15-20 ms with numpy)
+        gc.freeze()
 
 
 if __name__ == "__main__":

@@ -49,7 +49,7 @@ __all__ = [
     "DirichletNeumannBlock",
     "zeta_from_profile",
     "analytic_profile",
-    "fitted_profile",
+    "fitted_profiles",
     "low_order_values",
     "zeta_tail_block",
     "z_m_values",
@@ -146,11 +146,11 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
     return AsymptoticProfile(d=d, a=a, b=b, c1=c1, fit_residual=0.0)
 
 
-def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
-    """Numerical profile of the same function: d, a and c1 pinned from
-    ``analytic_profile``, b fitted from log-scaled evaluations of the cross
-    product at 160 points of the ray window [s, 10 s],
-    s = max(80, 1.2 (max(nu, m) + 1)^2).
+def fitted_profiles(m: int):
+    """Yields the numerical profiles of the same function for the low orders
+    nu = 0 .. m // 2 in turn: d, a and c1 pinned from ``analytic_profile``, b
+    fitted from one ``cross_G_norm_log`` call over all of them at 160 points
+    of their shared ray window [s, 10 s], s = max(80, 1.2 (m + 1)^2).
 
     The pinned terms d z + a log z^2 + c1/z are subtracted, and b is fitted
     together with the z^-2 .. z^-6 terms, on column-scaled basis vectors.
@@ -160,18 +160,20 @@ def fitted_profile(nu: int, m: int) -> AsymptoticProfile:
     cost is rounding: the fitted values carry 2z, so the error of b grows
     like eps s, and the route's z_m'(0), a sum over the orders, is within
     6.5e-10 of the closed value for m <= 64 (the most at m = 61) and within
-    1.8e-9 through ``_PROFILE_M_MAX`` = 120 (1.74e-9 at m = 104).
+    1.8e-9 through ``_PROFILE_M_MAX`` = 120 (1.74e-9 at m = 104).  Each order
+    keeps its own solve: one solve for all moves z_m'(0) by 3.6e-12 at m = 64.
     """
-    nu = representative(nu, m)
-    pinned = analytic_profile(nu, m)
-    start = max(80.0, 1.2 * (max(nu, m) + 1) ** 2)
+    nus = range(m // 2 + 1)
+    start = max(80.0, 1.2 * (m + 1) ** 2)
     z = np.geomspace(start, 10.0 * start, 160)
-    rest = -cross_G_norm_log(nu, m, z) - (pinned.d * z + pinned.a * np.log(z * z)
-                                          + pinned.c1 / z)
+    logs = cross_G_norm_log(np.array([representative(nu, m) for nu in nus])[:, None], m, z)
     basis = np.stack([np.ones_like(z)] + [z ** -float(p) for p in range(2, 7)], axis=1)
-    coef = _scaled_lstsq(basis, rest)
-    return AsymptoticProfile(d=pinned.d, a=pinned.a, b=float(coef[0]), c1=pinned.c1,
-                             fit_residual=float(np.max(np.abs(basis @ coef - rest))))
+    for nu, log_p in zip(nus, logs):
+        pinned = analytic_profile(nu, m)
+        rest = -log_p - (pinned.d * z + pinned.a * np.log(z * z) + pinned.c1 / z)
+        coef = _scaled_lstsq(basis, rest)
+        yield pinned._replace(b=float(coef[0]),
+                              fit_residual=float(np.max(np.abs(basis @ coef - rest))))
 
 
 # ----------------------------------------------------------------------
@@ -397,8 +399,9 @@ def low_order_values(m: int, route: str = "closed"):
         values = mellin_zeta_critical_values(vals, contour,
                                              [analytic_profile(nu, m) for nu, _ in orders])
         return [(nu, weight, *v) for (nu, weight), v in zip(orders, values)]
-    profile = fitted_profile if route == "profile" else analytic_profile
-    return [(nu, weight, *zeta_from_profile(profile(nu, m))) for nu, weight in orders]
+    profiles = (fitted_profiles(m) if route == "profile"
+                else [analytic_profile(nu, m) for nu, _ in orders])
+    return [(nu, weight, *zeta_from_profile(p)) for (nu, weight), p in zip(orders, profiles)]
 
 
 def z_m_values(m: int, route: str = "closed"):

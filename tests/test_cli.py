@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +297,35 @@ class TestImports:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+    @pytest.mark.parametrize("argv, rc", [
+        (["--help"], 0),
+        (["torsion", "--m", "6"], 0),
+        (["spectrum", "--m", "2", "--n-max", "2", "--k-max", "3"], 0),
+        (["zeta", "--m", "3", "--check-routes", "profile,contour"], 0),
+        (["verify", "--suite", "all"], 0),
+        (["zeta", "--m", "121", "--route", "profile"], 3),
+        (["zeta"], 2),
+    ])
+    def test_main_freezes_the_collector(self, argv, rc):
+        # whatever the exit code, main returns with every live object frozen,
+        # so the collections at interpreter exit skip them
+        code = ("import gc, sys; from zetacan.cli import main; rc = main(sys.argv[1:]); "
+                "sys.stderr.write(f'\\n{gc.get_freeze_count() > 0}'); sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == rc
+        assert proc.stderr.splitlines()[-1] == "True"
+
+    def test_fresh_process_prints_the_golden_spectrum(self):
+        # the goldens run main in process; this one runs to the process's exit
+        code = "import sys; from zetacan.cli import main; sys.exit(main(sys.argv[1:]))"
+        proc = subprocess.run([sys.executable, "-c", code, "spectrum", "--m", "2",
+                               "--n-max", "6", "--k-max", "8", "--format", "csv"],
+                              capture_output=True)
+        golden = Path(__file__).parent / "golden" / "spectrum_m2.csv"
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == golden.read_bytes()
 
     def test_executing_every_module_does_not_load_numpy(self):
         code = ("import sys, types, zetacan.cli, zetacan.special, zetacan.numerics, "

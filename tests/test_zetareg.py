@@ -38,14 +38,36 @@ class TestSequenceValues:
         with pytest.raises(FitError):
             zr.zeta_from_profile(prof)
 
-    @pytest.mark.parametrize("nu,m", [(2, 1), (1, 2), (3, 2), (0, 3)])
+    @pytest.mark.parametrize("nu,m", [(0, 1), (1, 2), (0, 2), (0, 3)])
     def test_fitted_profile_matches_analytic(self, nu, m):
         # d, a and c1 are pinned from the analytic profile; b is fitted
-        fit = zr.fitted_profile(nu, m)
+        fit = list(zr.fitted_profiles(m))[nu]
         ana = zr.analytic_profile(nu, m)
         assert (fit.d, fit.a, fit.c1) == (ana.d, ana.a, ana.c1)
         assert fit.b == pytest.approx(ana.b, abs=1e-11)
         assert fit.fit_residual <= 1e-11
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 17, 33, 64, 120])
+    def test_fitted_profiles_keep_the_bits_of_one_order_fits(self, m):
+        # the fit of one low order at a time, from a scalar-order evaluation;
+        # the batched fit must give every order's profile to the bit
+        from zetacan.besselx import cross_G_norm_log, representative
+        from zetacan.numerics import AsymptoticProfile, _scaled_lstsq
+
+        def one_order(nu):
+            nu = representative(nu, m)
+            pinned = zr.analytic_profile(nu, m)
+            start = max(80.0, 1.2 * (max(nu, m) + 1) ** 2)
+            z = np.geomspace(start, 10.0 * start, 160)
+            rest = -cross_G_norm_log(nu, m, z) - (pinned.d * z + pinned.a * np.log(z * z)
+                                                  + pinned.c1 / z)
+            basis = np.stack([np.ones_like(z)] + [z ** -float(p) for p in range(2, 7)], axis=1)
+            coef = _scaled_lstsq(basis, rest)
+            return AsymptoticProfile(d=pinned.d, a=pinned.a, b=float(coef[0]), c1=pinned.c1,
+                                     fit_residual=float(np.max(np.abs(basis @ coef - rest))))
+
+        got = [[v.hex() for v in p] for p in zr.fitted_profiles(m)]
+        assert got == [[v.hex() for v in one_order(nu)] for nu in range(m // 2 + 1)]
 
     @pytest.mark.parametrize("nu,m", [(2, 1), (1, 2)])
     def test_contour_matches_closed(self, nu, m):
