@@ -1,7 +1,7 @@
 """Command-line front end: spectra, regularized zeta values, torsion
 reports and the verification suite, emitted as deterministic JSON or CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (ArithmeticError).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import gc
 import io
 import sys
 
-from . import besselx, numerics, torsion, verify, zetareg
+from . import besselx, torsion, verify, zetareg
 
 SCHEMA = "zetacan/1"
 
@@ -197,8 +197,7 @@ def main(argv=None) -> int:
             return 2 if exc.code not in (0, None) else 0
         try:
             return args.func(args)
-        except (numerics.BracketError, numerics.QuadratureError, numerics.FitError,
-                ArithmeticError) as exc:
+        except ArithmeticError as exc:
             print(f"numerical failure: {exc}", file=sys.stderr)
             return 3
         except (ValueError, OSError) as exc:  # OSError: an unwritable --out path

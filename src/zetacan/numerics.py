@@ -24,6 +24,9 @@ wraps scipy's Brent method and is the one part that needs scipy.  The rest:
   yields zeta(0) and zeta'(0) directly.  ``ContourSpec`` fixes the
   half-angle pi/8 and the panel layout; callers choose the vertex c and
   the truncation radius.
+
+Every least-squares fit of the package is one ``_scaled_lstsq`` solve, and
+every failure raised here is an ``ArithmeticError``.
 """
 
 from __future__ import annotations
@@ -51,15 +54,15 @@ __all__ = [
 ]
 
 
-class BracketError(ValueError):
+class BracketError(ArithmeticError):
     """Root bracket does not straddle a sign change."""
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(ArithmeticError):
     """Gauss-Legendre rules did not converge within the node budget."""
 
 
-class FitError(RuntimeError):
+class FitError(ArithmeticError):
     """Asymptotic-profile fit residual exceeds the certification threshold."""
 
 
@@ -270,12 +273,7 @@ def zero_tail_sum(zeros, K: int, s: float, slope: float = math.pi) -> float:
 _PHASE = complex(math.cos(math.pi / 8.0), math.sin(math.pi / 8.0))
 
 
-class _Contour(NamedTuple):
-    c: float
-    truncation_radius: float
-
-
-class ContourSpec(_Contour):
+class ContourSpec(NamedTuple):
     """The wedge contour Lambda_c = { |arg(z - c)| = pi/8 }.
 
     ``c`` must lie strictly between 0 and the smallest zero of every
@@ -283,14 +281,8 @@ class ContourSpec(_Contour):
     which then share its nodes.  ``truncation_radius`` is where numeric
     panels stop and the fitted asymptotic tail takes over.
     """
-    __slots__ = ()
-
-    def __new__(cls, c: float, truncation_radius: float):
-        if not (c > 0.0):
-            raise ValueError("contour vertex c must be positive")
-        if truncation_radius <= 1.0:
-            raise ValueError("truncation radius too small")
-        return super().__new__(cls, c, truncation_radius)
+    c: float
+    truncation_radius: float
 
     def ray_nodes(self):
         """Gauss-Legendre nodes/weights on the upper ray, ordered by r."""

@@ -3,9 +3,9 @@ s-derivatives, Bessel J of integer order, and log-scaled Bessel I.
 
 Everything here is a pure function of its arguments, so the scalar zeta
 functions that callers ask for again and again (``hurwitz_zeta``,
-``hurwitz_zeta_prime``, ``riemann_zeta_prime``) are memoized.  Hurwitz
-zeta, its s-derivative and digamma come from one Euler-Maclaurin form;
-Riemann zeta values for s < -1/2 go through the functional equation.
+``riemann_zeta_prime``) are memoized.  Hurwitz zeta, its s-derivative and
+digamma come from one Euler-Maclaurin form; Riemann zeta values for
+s < -1/2 go through the functional equation.
 
 The Bessel layer is array-first.  ``bessel_j_orders`` yields J at the
 signed orders that each point of a real or complex array asks for, and no
@@ -32,7 +32,6 @@ from . import np
 
 __all__ = [
     "EULER_GAMMA",
-    "log_gamma",
     "stirling_remainder_r2",
     "stirling_remainder_r2_sum",
     "hurwitz_zeta",
@@ -84,13 +83,6 @@ class SpecialFunctionError(ValueError):
 # ----------------------------------------------------------------------
 # Gamma family
 # ----------------------------------------------------------------------
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise SpecialFunctionError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
 
 def stirling_remainder_r2(n: float) -> float:
     """Remainder of the two-term Stirling expansion of log Gamma.
@@ -167,7 +159,6 @@ def hurwitz_zeta(s: float, a: float = 1.0) -> float:
     return acc
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
 def hurwitz_zeta_prime(s: float, a: float = 1.0) -> float:
     """d/ds of hurwitz_zeta(s, a), same validity range."""
     if a <= 0.0:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .numerics import adaptive_quad
-from .special import log_gamma, riemann_zeta_prime
+from .special import riemann_zeta_prime
 
 __all__ = [
     "TorsionReport",
@@ -108,11 +108,15 @@ def gram_det_closed(m: int) -> Fraction:
     return Fraction((m + 2) ** (m + 1), math.factorial(m + 1) ** 2)
 
 
+def _log_gram_det_closed(m: int) -> float:
+    """log gram_det_closed(m) = (m+1) log(m+2) - 2 log Gamma(m+2), in floats."""
+    return (m + 1) * math.log(m + 2.0) - 2.0 * math.lgamma(m + 2.0)
+
+
 def zeta_canonical_closed_form(m: int):
     """The theorem's closed forms, assembled independently of the blocks."""
     zeta0 = Fraction(-2, 3) - Fraction(m, 2)
-    log_gram = (m + 1) * math.log(m + 2.0) - 2.0 * log_gamma(m + 2.0)
-    zeta0_prime = 4.0 * riemann_zeta_prime(-1.0) - 1.0 / 6.0 - log_gram
+    zeta0_prime = 4.0 * riemann_zeta_prime(-1.0) - 1.0 / 6.0 - _log_gram_det_closed(m)
     return zeta0, zeta0_prime
 
 
@@ -198,8 +202,7 @@ def torsion_g(m: int) -> TorsionReport:
     if m < 0:
         raise ValueError("m must be >= 0")
     entries = [float(gram_entry_closed(m, k)) for k in range(m + 1)]
-    logdet_closed = (m + 1) * math.log(m + 2.0) - 2.0 * log_gamma(m + 2.0)
-    tg_closed = -quillen_canonical_log(m, "closed") - logdet_closed
+    tg_closed = -quillen_canonical_log(m, "closed") - _log_gram_det_closed(m)
     tg_quad = (-quillen_canonical_log(m, "quadrature")
                - math.fsum(math.log(gram_entry(m, k)) for k in range(m + 1)))
     _, zeta0_prime = zeta_canonical_closed_form(m)

@@ -181,6 +181,9 @@ def _sine_logp(z):
 
 def suite_routes():
     out = []
+    # the spectral sums first: their contour passes also serve the route checks of m = 0, 1
+    sums = [(m, s, zetareg.spectral_zeta_direct(m, s), zetareg.spectral_zeta_contour(m, s))
+            for m in _SPECTRAL_SUM_MS for s in (1.5, 2.0)]
     # classical sine product through both numeric routes
     prof_fit = fit_asymptotic_profile(
         lambda z: -(math.pi * z + np.log1p(-np.exp(-2.0 * math.pi * z))
@@ -211,13 +214,8 @@ def suite_routes():
             f"routes: m={m} contour vs closed (<= 1e-6)",
             rep.discrepancies["contour"] <= 1e-6,
             f"diff={rep.discrepancies['contour']:.3e}"))
-    # direct vs contour spectral sums
-    for m in _SPECTRAL_SUM_MS:
-        for s in (1.5, 2.0):
-            d = zetareg.spectral_zeta_direct(m, s)
-            c = zetareg.spectral_zeta_contour(m, s)
-            out.append(_check(f"routes: spectral sum m={m} s={s} direct vs contour",
-                              d, c, 1e-5))
+    for m, s, d, c in sums:
+        out.append(_check(f"routes: spectral sum m={m} s={s} direct vs contour", d, c, 1e-5))
     dn_c = zetareg.dirichlet_neumann_block("closed")
     dn_n = zetareg.dirichlet_neumann_block("numeric")
     out.append(_check("routes: Dirichlet block numeric vs closed",
@@ -340,10 +338,10 @@ def run_suite(name: str = "all"):
     """Run one named suite or all of them; returns list of CheckResult.
 
     Before any suite runs, the selected suites' zero solves are solved in
-    one batch, which builds each J and J' zero table once, and the routes
-    suite's contour rows are sampled in one complex kernel pass per twist
-    degree of its spectral sums (the route checks read the low orders'
-    rows from the same pass).
+    one batch, which builds each J and J' zero table once.  The routes suite
+    computes its spectral sums before its route checks, so their contour
+    rows, sampled in one complex kernel pass per twist degree, serve the
+    route checks of the same twist degrees.
     """
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
@@ -351,9 +349,6 @@ def run_suite(name: str = "all"):
     names = list(SUITES) if name == "all" else [name]
     solves = _zero_solves()
     besselx.solve_zero_sequences([req for key in names for req in solves.get(key, ())])
-    if "routes" in names:
-        for m in _SPECTRAL_SUM_MS:
-            zetareg._contour_samples(m, zetareg._sum_orders(m))
     results = []
     for key in names:
         results.extend(SUITES[key]())

@@ -40,8 +40,8 @@ from .numerics import (AsymptoticProfile, ContourSpec, FitError, _scaled_lstsq,
                        fit_asymptotic_profile, mellin_contour_zeta,
                        mellin_zeta_critical_values, zero_tail_sum)
 from .special import (EULER_GAMMA, _log, bessel_i_log, bessel_j_complex_many,
-                      hurwitz_zeta, hurwitz_zeta_prime, log_gamma, riemann_zeta,
-                      riemann_zeta_prime, stirling_remainder_r2_sum)
+                      hurwitz_zeta, hurwitz_zeta_prime, riemann_zeta, riemann_zeta_prime,
+                      stirling_remainder_r2_sum)
 
 __all__ = [
     "FamilyComponents",
@@ -135,12 +135,12 @@ def analytic_profile(nu: int, m: int) -> AsymptoticProfile:
     if nu >= m + 1:
         a = nu - 0.5 * m
         b = (_LOGPI - (2 * nu - m - 1) * _LOG2
-             - log_gamma(nu + 1.0) - log_gamma(float(nu - m)))
+             - math.lgamma(nu + 1.0) - math.lgamma(nu - m))
         c1 = (4.0 * nu * nu - 4.0 * nu * m + 2.0 * m * m + 2.0 * m + 1.0) / 4.0
     else:
         a = 0.5 * (m + 2)
         b = (_LOGPI - (m + 1) * _LOG2 + math.log(m + 2.0)
-             - log_gamma(nu + 2.0) - log_gamma(m - nu + 2.0))
+             - math.lgamma(nu + 2.0) - math.lgamma(m - nu + 2.0))
         c1 = (2.0 * nu * nu + 2.0 * nu
               + 2.0 * (m - nu) ** 2 + 2.0 * (m - nu) + 1.0) / 4.0
     return AsymptoticProfile(d=d, a=a, b=b, c1=c1, fit_residual=0.0)
@@ -295,7 +295,7 @@ def eta_at_zero() -> float:
 
 def gamma_k_zero(k: int) -> float:
     """gamma_k(0) = -log Gamma(k+1) - gamma k."""
-    return -log_gamma(k + 1.0) - EULER_GAMMA * k
+    return -math.lgamma(k + 1.0) - EULER_GAMMA * k
 
 
 def gamma_k_function(k: int, s: float) -> float:
@@ -366,7 +366,7 @@ def zeta_tail_block(m: int):
     """
     value0 = Fraction(1, 6) + Fraction(m, 2) + Fraction(m * m, 4)
     value0_prime = (2.0 * riemann_zeta_prime(-1.0)
-                    - sum(log_gamma(k + 1.0) for k in range(1, m + 1))
+                    - sum(math.lgamma(k + 1.0) for k in range(1, m + 1))
                     + (1.0 / 6.0 - 0.5 * m * (m + 1)) * _LOG2
                     + 0.5 * (m + 1) * _LOGPI - 1.0 / 12.0)
     return value0, value0_prime
@@ -543,7 +543,7 @@ def _eta_zero_richardson() -> float:
     """
     ss = np.array([0.032, 0.016, 0.008, 0.004, 0.002])
     vals = np.array([eta_function(float(s)) for s in ss])
-    return float(np.polyfit(ss, vals, 4)[-1])
+    return float(_scaled_lstsq(np.vander(ss, 5), vals)[-1])
 
 
 def _f_values_numeric(alpha: float, beta: float):
@@ -575,22 +575,17 @@ def _order_tail_over_n(values_by_n: dict, s: float, n_from: int) -> float:
 
 def _sum_orders(m: int) -> list:
     """The orders of a spectral sum: the low orders, then nu = m+1 .. m+14."""
-    return [nu for nu, _ in besselx.canonical_orders(m, m // 2 + 1)] + list(range(m + 1, m + 15))
+    return [nu for nu, _ in besselx.canonical_orders(m, m // 2 + 15)]
 
 
 def _spectral_sum(m: int, s: float, order_zetas) -> float:
     """4^s z_m(s) from the per-order values ``order_zetas(orders)`` of the
-    ``_sum_orders(m)``: the low orders with their weights, then 2 * sum over
-    the family orders, then the n-tail fitted to the last eight."""
-    low = besselx.canonical_orders(m, m // 2 + 1)
-    vals = order_zetas(_sum_orders(m))
-    total = 0.0
-    for (nu, weight), val in zip(low, vals):
-        total += weight * val
-    fam_vals = dict(zip(range(1, 15), vals[len(low):]))
-    total += 2.0 * sum(fam_vals.values())
-    fit_tail = {n: fam_vals[n] for n in range(7, 15)}
-    total += 2.0 * _order_tail_over_n(fit_tail, s, 14)
+    ``_sum_orders(m)``, each with its weight, then 2 * the n-tail fitted to
+    the last eight family orders n = 7 .. 14."""
+    orders = besselx.canonical_orders(m, m // 2 + 15)
+    vals = order_zetas([nu for nu, _ in orders])
+    total = sum(weight * val for (_, weight), val in zip(orders, vals))
+    total += 2.0 * _order_tail_over_n(dict(zip(range(7, 15), vals[-8:])), s, 14)
     return 4.0 ** s * total
 
 

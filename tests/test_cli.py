@@ -184,11 +184,16 @@ def test_routes_suite_samples_each_twist_degree_once(monkeypatch):
 
 
 class TestExitCodes:
-    def test_numerical_failure_exits_3(self, monkeypatch):
-        from zetacan.numerics import BracketError
+    @pytest.mark.parametrize("error", ["BracketError", "QuadratureError", "FitError"])
+    def test_numerical_failure_exits_3(self, error, monkeypatch):
+        # cli maps every numerical failure to exit 3 through ArithmeticError
+        from zetacan import numerics
+
+        cls = getattr(numerics, error)
+        assert issubclass(cls, ArithmeticError)
 
         def boom(*a, **k):
-            raise BracketError("forced failure")
+            raise cls("forced failure")
 
         monkeypatch.setattr("zetacan.cli.besselx.zero_sequences", boom)
         assert cli.main(["spectrum", "--m", "0", "--n-max", "1",

@@ -59,3 +59,27 @@ def test_a_function_import_from_the_package_is_found():
     source = ("from . import np\nimport math\ndef f(x):\n"
               "    from .zetareg import g\n    return g(x) + math.pi\n")
     assert function_relative_imports(source) == [4]
+
+
+def least_squares_outside_scaled_lstsq(source: str) -> list:
+    """The lines of ``source`` that call ``np.linalg.*`` or ``np.polyfit``
+    outside ``_scaled_lstsq``, the package's one least-squares solver."""
+    tree = ast.parse(source)
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_scaled_lstsq"
+              for node in ast.walk(fn)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and (ast.unparse(node.func) == "np.polyfit"
+                       or ast.unparse(node.func).startswith("np.linalg.")))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_least_squares_solver(path):
+    assert least_squares_outside_scaled_lstsq(path.read_text()) == []
+
+
+def test_a_second_least_squares_solver_is_found():
+    source = ("from . import np\ndef _scaled_lstsq(b, v):\n    return np.linalg.qr(b)\n"
+              "def fit(x, y):\n    return np.polyfit(x, y, 4), np.linalg.lstsq(x, y)\n")
+    assert least_squares_outside_scaled_lstsq(source) == [5, 5]

@@ -11,17 +11,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 
 
 class TestGamma:
-    def test_log_gamma_classical_points(self):
-        assert sp.log_gamma(1.0) == 0.0
-        assert sp.log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-        assert sp.log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
-    def test_log_gamma_domain(self):
-        with pytest.raises(ValueError):
-            sp.log_gamma(0.0)
-        with pytest.raises(ValueError):
-            sp.log_gamma(-2.5)
-
     @pytest.mark.parametrize("n", [1, 2, 5, 17, 60, 150])
     def test_r2_bound(self, n):
         # |R2(n)| < |B_4| / (12 n^3) on the positive axis
@@ -147,14 +136,14 @@ class TestZeta:
         for s, a in zip(rng.uniform(-12.0, 40.0, 2000), rng.uniform(0.01, 100.0, 2000)):
             s, a = float(s), float(a)
             assert sp.hurwitz_zeta.__wrapped__(s, a) == hurwitz(s, a), (s, a)
-            assert sp.hurwitz_zeta_prime.__wrapped__(s, a) == hurwitz_prime(s, a), (s, a)
+            assert sp.hurwitz_zeta_prime(s, a) == hurwitz_prime(s, a), (s, a)
             # the running derivative agrees with the sum of products of the others
             assert hurwitz_prime(s, a, rising_prime_of_others) == pytest.approx(
                 hurwitz_prime(s, a), rel=1e-14, abs=0.0), (s, a)
             assert sp._digamma(a) == digamma(a), a
         for s in (-12.0, -2.0, -1.0, 0.0, 2.0, 3.0):  # integer s, factors of 0 included
             assert sp.hurwitz_zeta.__wrapped__(s, 1.0) == hurwitz(s, 1.0), s
-            assert sp.hurwitz_zeta_prime.__wrapped__(s, 1.0) == hurwitz_prime(s, 1.0), s
+            assert sp.hurwitz_zeta_prime(s, 1.0) == hurwitz_prime(s, 1.0), s
 
 
 class TestBesselJ:
